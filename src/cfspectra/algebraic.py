@@ -17,18 +17,90 @@ from .matrices import Mat2
 from .polynomials import (
     IntPolynomial,
     count_roots_in,
+    isolating_intervals,
     poly_gcd,
-    sign_variations,
     squarefree_part,
-    transform_to_unit,
 )
 
 REFINE_HARD_CAP = 1 << 17  # bits; past this we give up rather than loop
+# refinements gaining fewer bits than this bisect: Newton's fixed cost of a
+# few evaluations plus two exact sign tests only pays off on larger gains
+NEWTON_MIN_GAIN = 48
 
 
 def _is_dyadic(q: Fraction) -> bool:
     d = q.denominator
     return d & (d - 1) == 0
+
+
+def _dyadic_sign(coeffs: tuple[int, ...], m: int, e: int) -> int:
+    """Exact sign of p(m / 2^e), integer arithmetic only."""
+    acc = 0
+    pw = 1
+    for i in range(len(coeffs) - 1, -1, -1):
+        acc = acc * m + coeffs[i] * pw
+        if i > 0:
+            pw <<= e
+    return (acc > 0) - (acc < 0)
+
+
+def _fixed_value_slope(coeffs: tuple[int, ...], x: int, prec: int) -> tuple[int, int]:
+    """p(x / 2^prec) and p'(x / 2^prec), both scaled by 2^prec and truncated."""
+    f = df = 0
+    for c in reversed(coeffs):
+        df = ((df * x) >> prec) + f
+        f = ((f * x) >> prec) + (c << prec)
+    return f, df
+
+
+def _newton_cell(
+    coeffs: tuple[int, ...], ulo: int, width: int, e: int, k: int, sign_lo: int
+) -> int | None:
+    """Index j of the cell [ulo 2^k + j width, ulo 2^k + (j+1) width] / 2^(e+k)
+    holding the root in [ulo, ulo + width] / 2^e, or None when not certified.
+
+    Fixed-point Newton at doubling precision finds the cell; exact signs at
+    both cell ends certify it. sign_lo is the sign of p at the lower end.
+    """
+    wb = e - width.bit_length()  # the interval's width is about 2^-wb
+    target = e + k + 16  # 16 guard bits below the cell width
+    prec = max(e, wb + 64)
+    # Newton kept inside the bracket [a, b] of the root: a step leaving it
+    # bisects it instead. A step below the square root of the precision means
+    # x is correct to nearly the full precision, which then nearly doubles.
+    a, b = ulo << (prec - e), (ulo + width) << (prec - e)
+    x = (a + b) >> 1
+    for _ in range(256):
+        f, df = _fixed_value_slope(coeffs, x, prec)
+        if not df:
+            return None
+        nxt = x - (f << prec) // df
+        if abs(nxt - x) > 1 << ((prec - wb) >> 1):
+            # a long step: f is far above rounding noise, so its sign tells
+            # which side of the root x is on
+            if ((f > 0) - (f < 0)) == sign_lo:
+                a = x
+            else:
+                b = x
+            x = nxt if a < nxt < b else (a + b) >> 1
+        elif prec < target:
+            q = min(target, 2 * prec - wb - 32)
+            x, a, b = nxt << (q - prec), a << (q - prec), b << (q - prec)
+            prec = q
+        else:
+            x = nxt
+            break
+    else:
+        return None
+    j = ((x >> (prec - e - k)) - (ulo << k)) // width
+    if not 0 <= j < 1 << k:
+        return None
+    left = (ulo << k) + j * width
+    if _dyadic_sign(coeffs, left, e + k) != sign_lo:
+        return None
+    if _dyadic_sign(coeffs, left + width, e + k) != -sign_lo:
+        return None
+    return j
 
 
 @dataclass
@@ -100,7 +172,15 @@ class AlgebraicNumber:
         return self._sign_lo
 
     def refine_to(self, bits: int) -> DyadicInterval:
-        """Bisect the isolating interval down to width <= 2^-bits."""
+        """Shrink the isolating interval to width <= 2^-bits.
+
+        The result is the cell of the interval's halving grid, at the first
+        level fine enough, that holds the root: exactly what one-bit-at-a-time
+        bisection reaches, so enclosures do not depend on how the cell was
+        found. A root on a grid point ends as that single point. Large gains
+        locate the cell by Newton and certify it by two exact sign tests;
+        small gains, and cells the sign tests reject, bisect.
+        """
         if bits < 1:
             raise ValueError("bits must be >= 1")
         rat = self.rational_value()
@@ -116,25 +196,25 @@ class AlgebraicNumber:
         ulo = lo.numerator << (e - (lo.denominator.bit_length() - 1))
         uhi = hi.numerator << (e - (hi.denominator.bit_length() - 1))
         coeffs = self.minpoly.coeffs
-        d = len(coeffs) - 1
-        while Fraction(uhi - ulo, 1 << e) > Fraction(1, 1 << bits):
-            m = ulo + uhi  # midpoint mantissa at exponent e+1
-            e += 1
-            ulo <<= 1
-            uhi <<= 1
-            acc = 0
-            pw = 1
-            for i in range(d, -1, -1):
-                acc = acc * m + coeffs[i] * pw
-                if i > 0:
-                    pw <<= e
-            if acc == 0:
-                ulo = uhi = m  # the root is exactly dyadic
-                break
-            if ((acc > 0) - (acc < 0)) == sign_lo:
-                ulo = m
-            else:
-                uhi = m
+        width = uhi - ulo  # constant in units of the current grid level
+        k = ((width << bits) - 1).bit_length() - e  # levels to descend, >= 1
+        j = _newton_cell(coeffs, ulo, width, e, k, sign_lo) if k >= NEWTON_MIN_GAIN else None
+        if j is not None:
+            ulo = (ulo << k) + j * width
+            uhi = ulo + width
+            e += k
+        else:
+            for _ in range(k):
+                m = ulo + uhi  # midpoint mantissa at exponent e+1
+                e += 1
+                s = _dyadic_sign(coeffs, m, e)
+                if s == 0:
+                    ulo = uhi = m  # the root is exactly dyadic
+                    break
+                if s == sign_lo:
+                    ulo, uhi = m, uhi << 1
+                else:
+                    ulo, uhi = ulo << 1, m
         self.isolating = DyadicInterval(Fraction(ulo, 1 << e), Fraction(uhi, 1 << e))
         self._sign_lo = sign_lo if ulo != uhi else None
         return self.isolating
@@ -149,10 +229,6 @@ class AlgebraicNumber:
         return alg_equal(self, other)
 
     __hash__ = None
-
-
-def refine_to(x: AlgebraicNumber, bits: int) -> DyadicInterval:
-    return x.refine_to(bits)
 
 
 def isolate_real_roots(p) -> list[AlgebraicNumber]:
@@ -173,26 +249,7 @@ def isolate_real_roots(p) -> list[AlgebraicNumber]:
         return [AlgebraicNumber.from_rational(Fraction(-c0, c1))]
     bound = 2 + max(abs(c) for c in p.coeffs[:-1]) // abs(p.leading)
     big = Fraction(1 << bound.bit_length())
-    intervals: list[tuple[Fraction, Fraction]] = []
-    stack = [(-big, big)]
-    while stack:
-        lo, hi = stack.pop()
-        v = sign_variations(transform_to_unit(p, lo, hi).reverse().shift_taylor(1).coeffs)
-        if v == 0:
-            continue
-        if v == 1:
-            intervals.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        if p.sign_at(mid) == 0:
-            # split just past the exact root so endpoints stay off roots
-            delta = (hi - lo) / 4
-            while p.sign_at(mid + delta) == 0:
-                delta /= 2
-            mid = mid + delta
-        stack.append((lo, mid))
-        stack.append((mid, hi))
-    intervals.sort()
+    intervals = sorted(isolating_intervals(p, -big, big))
     return [AlgebraicNumber(p, DyadicInterval(lo, hi)) for lo, hi in intervals]
 
 

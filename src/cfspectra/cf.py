@@ -1,15 +1,15 @@
 """Certified continued-fraction expansion and the classical identities.
 
-The expander tracks the exact unimodular matrix that maps the input number to
-the current complete quotient, so every partial quotient is decided by integer
-sign tests and no error ever accumulates, at any depth.
+The expander refines the isolating interval and keeps the letters that both
+of its endpoints' exact expansions share (Lehmer's criterion), so every
+partial quotient is decided by exact integer arithmetic, at any depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, isqrt
+from math import isqrt
 
 from .algebraic import AlgebraicNumber, _equals_rational
 from .errors import PrecisionExhausted
@@ -97,91 +97,57 @@ def word_matrix(word) -> Mat2:
 
 
 def _rational_cf(r: Fraction, depth: int) -> tuple[int, list[int], bool]:
-    a0 = floor(r)
+    """Euclid on r: a0, at most `depth` quotients, and whether r's expansion ended."""
+    n, d = r.numerator, r.denominator
+    a0, n = divmod(n, d)
     quotients: list[int] = []
-    frac = r - a0
-    terminated = frac == 0
-    while frac != 0 and len(quotients) < depth:
-        r = 1 / frac
-        a = floor(r)
+    while n and len(quotients) < depth:
+        a, rem = divmod(d, n)
         quotients.append(a)
-        frac = r - a
-        terminated = frac == 0
-    return a0, quotients, terminated
+        d, n = n, rem
+    return a0, quotients, n == 0
 
 
-def _moebius_floor(x: AlgebraicNumber, m: Mat2, cap: int) -> tuple[int, bool]:
-    """Certified floor of (a x + b)/(c x + d); second value flags exactness.
+def expand(x: AlgebraicNumber, depth: int) -> CFExpansion:
+    """First `depth` certified partial quotients of x.
 
-    Exactness (the complete quotient being an integer) only occurs for
-    rational x and ends the expansion.
+    Irrational x is refined until both endpoints of its isolating interval
+    expand to a common prefix of depth + 1 letters. Cylinders of a prefix are
+    intervals, so x, lying between the endpoints, shares that prefix.
     """
-    w = x.isolating.width
-    wbits = 0 if w == 0 else w.denominator.bit_length() - w.numerator.bit_length()
-    bits = max(64, wbits + 32)
-    tie_checked = False
-    while True:
-        lo, hi = x.isolating.lo, x.isolating.hi
-        un, ud = lo.numerator, lo.denominator
-        vn, vd = hi.numerator, hi.denominator
-        d1 = m.c * un + m.d * ud
-        d2 = m.c * vn + m.d * vd
-        if d1 != 0 and d2 != 0 and (d1 > 0) == (d2 > 0):
-            n1 = m.a * un + m.b * ud
-            n2 = m.a * vn + m.b * vd
-            f1 = n1 // d1 if d1 > 0 else (-n1) // (-d1)
-            f2 = n2 // d2 if d2 > 0 else (-n2) // (-d2)
-            if f1 == f2:
-                return f1, False
-            if abs(f1 - f2) == 1 and not tie_checked:
-                # complete quotient may be exactly the integer k
-                k = max(f1, f2)
-                den = m.a - k * m.c
-                num = k * m.d - m.b
-                if den != 0 and _equals_rational(x, Fraction(num, den)):
-                    return k, True
-                tie_checked = True
-        if bits > cap:
-            raise PrecisionExhausted(
-                "floor undecided at precision cap", x.isolating.as_finterval()
-            )
-        x.refine_to(bits)
-        bits *= 2
-
-
-def expand(x: AlgebraicNumber, depth: int, *, precision_cap: int = PRECISION_CAP_BITS) -> CFExpansion:
-    """First `depth` certified partial quotients of x."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    rat = x.rational_value()
-    if rat is not None:
-        a0, qs, term = _rational_cf(rat, depth)
-        return CFExpansion(a0, qs, source=x, terminated=term)
-    m = Mat2.identity()
-    a0 = 0
-    quotients: list[int] = []
-    for n in range(depth + 1):
-        rat = x.rational_value()
-        if rat is not None:
-            # rationality discovered mid-expansion; finish with Euclid
-            num = m.a * rat.numerator + m.b * rat.denominator
-            den = m.c * rat.numerator + m.d * rat.denominator
-            z0, zs, term = _rational_cf(Fraction(num, den), depth - n + 1)
-            if n == 0:
-                return CFExpansion(z0, zs, source=x, terminated=term)
-            quotients.append(z0)
-            quotients.extend(zs)
-            return CFExpansion(a0, quotients[: depth], source=x, terminated=term)
-        a, exact = _moebius_floor(x, m, precision_cap)
-        if n == 0:
-            a0 = a
-        else:
-            quotients.append(a)
-        if exact:
-            return CFExpansion(a0, quotients, source=x, terminated=True)
-        # zeta' = 1/(zeta - a)
-        m = Mat2(m.c, m.d, m.a - a * m.c, m.b - a * m.d)
-    return CFExpansion(a0, quotients, source=x, terminated=False)
+    known = -1
+    while (rat := x.rational_value()) is None:
+        (a0, qa, ta), (b0, qb, tb) = (
+            _rational_cf(end, depth) for end in (x.isolating.lo, x.isolating.hi)
+        )
+        wa, wb = [a0, *qa], [b0, *qb]
+        # the last letter of a finite expansion is ambiguous ([..., a] is
+        # [..., a - 1, 1]), so neither endpoint vouches for it
+        usable = min(len(wa) - ta, len(wb) - tb)
+        n = 0
+        while n < usable and wa[n] == wb[n]:
+            n += 1
+        if n > depth:
+            return CFExpansion(a0, qa, source=x)
+        if n == known:
+            # for rational x = [c0; ..., cn] the endpoints' words agree
+            # before cn and read cn and cn - 1 there, so the prefix stalls
+            letters = wa[:n] + [max(wa[n], wb[n])]
+            rat = CFExpansion(letters[0], letters[1:]).value()
+            if _equals_rational(x, rat):
+                break
+        known = n
+        w = x.isolating.width
+        bits = max(64, 2 * (w.denominator.bit_length() - w.numerator.bit_length()))
+        if bits > PRECISION_CAP_BITS:
+            raise PrecisionExhausted(
+                "expansion undecided at precision cap", x.isolating.as_finterval()
+            )
+        x.refine_to(bits)
+    a0, qs, term = _rational_cf(rat, depth)
+    return CFExpansion(a0, qs, source=x, terminated=term)
 
 
 @dataclass(frozen=True)

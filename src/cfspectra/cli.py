@@ -13,7 +13,6 @@ import json
 import os
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -649,7 +648,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("batch", help="run a file of jobs, one command line each")
     p.add_argument("jobfile")
-    p.add_argument("--workers", type=int, default=1)
     return parser
 
 
@@ -705,11 +703,7 @@ def _run_batch(args) -> int:
             jobs.append(shlex.split(line))
         except ValueError as e:
             raise InputError(f"{args.jobfile}:{i}: {e}") from None
-    worst = 0
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as pool:
-        for code in pool.map(main, jobs):
-            worst = max(worst, code)
-    return worst
+    return max((main(job) for job in jobs), default=0)
 
 
 def main(argv: list[str] | None = None) -> int:

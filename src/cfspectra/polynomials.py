@@ -103,24 +103,25 @@ class IntPolynomial:
         return IntPolynomial(_strip(out) or (0,))
 
 
-def _frac_divmod(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Remainder of polynomial division over Q (lists lowest first)."""
-    num = num[:]
-    dd = len(den) - 1
-    lead = den[-1]
-    while len(num) - 1 >= dd and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) - 1 < dd:
-            break
-        factor = num[-1] / lead
-        shift = len(num) - 1 - dd
+def _divmod_q(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of polynomial division over Q (lists lowest first)."""
+    rem = num[:]
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        quot[shift] = rem[shift + len(den) - 1] / den[-1]
         for i, c in enumerate(den):
-            num[shift + i] -= factor * c
-        num.pop()
-    while num and num[-1] == 0:
-        num.pop()
-    return num
+            rem[shift + i] -= quot[shift] * c
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def _primitive_from_q(coeffs: list[Fraction]) -> IntPolynomial:
+    """Clear denominators and take the primitive part."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    return IntPolynomial(_strip([int(c * den) for c in coeffs]) or (0,)).primitive()
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
@@ -132,43 +133,11 @@ def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
     if not any(b):
         return p.primitive()
     while True:
-        r = _frac_divmod(a, b)
+        _, r = _divmod_q(a, b)
         if not r:
             break
         a, b = b, r
-    # clear denominators of b and take the primitive part
-    den = 1
-    for c in b:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in b]
-    return IntPolynomial(_strip(ints)).primitive()
-
-
-def poly_divexact(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Exact quotient p/q over Q, cleared to a primitive integer polynomial."""
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in q.coeffs]
-    out: list[Fraction] = [Fraction(0)] * (len(a) - len(b) + 1)
-    dd = len(b) - 1
-    lead = b[-1]
-    while len(a) - 1 >= dd and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) - 1 < dd:
-            break
-        factor = a[-1] / lead
-        shift = len(a) - 1 - dd
-        out[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a.pop()
-    if any(a):
-        raise ValueError("division is not exact")
-    den = 1
-    for c in out:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in out]
-    return IntPolynomial(_strip(ints) or (0,)).primitive()
+    return _primitive_from_q(b)
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
@@ -178,7 +147,10 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     g = poly_gcd(p, p.derivative())
     if g.degree == 0:
         return p.primitive()
-    return poly_divexact(p, g).primitive()
+    quot, rem = _divmod_q([Fraction(c) for c in p.coeffs], [Fraction(c) for c in g.coeffs])
+    if rem:
+        raise ValueError("division is not exact")
+    return _primitive_from_q(quot)
 
 
 def sign_variations(coeffs) -> int:
@@ -218,30 +190,37 @@ def transform_to_unit(p: IntPolynomial, a: Fraction, b: Fraction) -> IntPolynomi
     return IntPolynomial(_strip([int(c * common) for c in acc]) or (0,))
 
 
-def count_roots_in(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
-    """Exact number of roots of squarefree p in the open interval (a, b).
+def isolating_intervals(p: IntPolynomial, a: Fraction, b: Fraction):
+    """Yield disjoint subintervals of (a, b), each holding exactly one root of
+    squarefree p, covering every root in (a, b); a and b must not be roots.
 
-    Endpoints must not be roots. Uses Descartes counts with bisection.
+    Descartes counts drive the bisection; a count of 0 or 1 is exact.
     """
-    if p.sign_at(a) == 0 or p.sign_at(b) == 0:
-        raise ValueError("endpoint is a root")
     stack = [(a, b)]
-    total = 0
     while stack:
         lo, hi = stack.pop()
         v = sign_variations(transform_to_unit(p, lo, hi).reverse().shift_taylor(1).coeffs)
         if v == 0:
             continue
         if v == 1:
-            total += 1
+            yield lo, hi
             continue
         mid = (lo + hi) / 2
         if p.sign_at(mid) == 0:
-            # split off the exact root so both halves keep non-root endpoints
+            # split just past the exact root so both halves keep non-root endpoints
             delta = (hi - lo) / 4
             while p.sign_at(mid + delta) == 0:
                 delta /= 2
             mid = mid + delta
         stack.append((lo, mid))
         stack.append((mid, hi))
-    return total
+
+
+def count_roots_in(p: IntPolynomial, a: Fraction, b: Fraction) -> int:
+    """Exact number of roots of squarefree p in the open interval (a, b).
+
+    Endpoints must not be roots.
+    """
+    if p.sign_at(a) == 0 or p.sign_at(b) == 0:
+        raise ValueError("endpoint is a root")
+    return sum(1 for _ in isolating_intervals(p, a, b))

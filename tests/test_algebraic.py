@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfspectra import (
     IntPolynomial,
@@ -11,7 +12,7 @@ from cfspectra import (
     moebius_minpoly,
     quadratic_conjugate,
 )
-from cfspectra.algebraic import floor_of
+from cfspectra.algebraic import AlgebraicNumber, DyadicInterval, floor_of
 
 from conftest import root_of
 
@@ -62,6 +63,32 @@ class TestRefinement:
         assert sqrt2.isolating.width <= Fraction(1, 2**200)
         iv = sqrt2.value_interval(200)
         assert iv.lo * iv.lo <= 2 <= iv.hi * iv.hi
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        coeffs=st.sampled_from(
+            [[-2, 0, 0, 1], [1, -3, 0, 1], [-2, 0, 0, 0, 0, 1], [1, 0, -4, 0, 1], [-5, 3, -7, 2]]
+        ),
+        r=st.one_of(st.none(), st.fractions(min_value=-6, max_value=6, max_denominator=8)),
+        pick=st.integers(min_value=0, max_value=7),
+        start=st.integers(min_value=0, max_value=30),
+        bits=st.integers(min_value=48, max_value=400),
+    )
+    def test_one_call_matches_bisection(self, coeffs, r, pick, start, bits):
+        # one large refinement lands on exactly the cell (or grid point) that
+        # refining one bit at a time reaches, also on reducible inputs
+        p = IntPolynomial.from_coeffs(coeffs)
+        if r is not None:
+            p = p.mul(IntPolynomial.from_coeffs([-r.numerator, r.denominator]))
+        roots = isolate_real_roots(p)
+        x = roots[pick % len(roots)]
+        if start:
+            x.refine_to(start)
+        stepped = AlgebraicNumber(x.minpoly, DyadicInterval(x.isolating.lo, x.isolating.hi))
+        for b in range(1, bits + 1):
+            stepped.refine_to(b)
+        x.refine_to(bits)
+        assert (x.isolating.lo, x.isolating.hi) == (stepped.isolating.lo, stepped.isolating.hi)
 
     def test_floor(self, sqrt2, golden, cbrt2):
         assert floor_of(sqrt2) == 1

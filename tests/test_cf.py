@@ -1,13 +1,16 @@
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import cfspectra.cf
 from cfspectra import (
     CFExpansion,
     IntPolynomial,
     Mat2,
+    PrecisionExhausted,
     convergents,
     detect_period,
     expand,
@@ -21,6 +24,28 @@ from cfspectra import (
 from conftest import root_of
 
 words = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=20)
+
+# irreducible over Q, degrees 2-4, one to four real roots
+IRREDUCIBLE = [
+    [-2, 0, 1],
+    [-1, -1, 1],
+    [-2, 0, 0, 1],
+    [1, -3, 0, 1],
+    [-3, -1, 0, 2],
+    [-2, 0, 0, 0, 1],
+    [1, 0, -4, 0, 1],
+]
+
+
+def euclid(r: Fraction, depth: int) -> tuple[tuple[int, ...], bool]:
+    """Word of r up to depth quotients, and whether it ended, by textbook Euclid."""
+    word = [floor(r)]
+    rest = r - word[0]
+    while rest and len(word) <= depth:
+        r = 1 / rest
+        word.append(floor(r))
+        rest = r - word[-1]
+    return tuple(word), rest == 0
 
 
 class TestExpansion:
@@ -48,6 +73,40 @@ class TestExpansion:
     def test_depth_zero(self, golden):
         cf = expand(golden, 0)
         assert cf.word() == (1,)
+
+    def test_integer_root_of_reducible_polynomial(self):
+        # the largest root is exactly 1, a point of the bisection grid
+        x = isolate_real_roots(IntPolynomial.from_coeffs([-1, 1, -3, 2, 0, 0, 0, 1]))[-1]
+        cf = expand(x, 5)
+        assert (cf.word(), cf.terminated) == ((1,), True)
+
+    def test_precision_cap(self, cbrt2, monkeypatch):
+        monkeypatch.setattr(cfspectra.cf, "PRECISION_CAP_BITS", 256)
+        with pytest.raises(PrecisionExhausted):
+            expand(cbrt2, 500)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        f=st.sampled_from(IRREDUCIBLE),
+        r=st.one_of(
+            st.integers(min_value=-9, max_value=9).map(Fraction),
+            st.fractions(min_value=-9, max_value=9, max_denominator=16),
+        ),
+        depth=st.integers(min_value=0, max_value=40),
+    )
+    def test_reducible_with_rational_root(self, f, r, depth):
+        # (x - r) f(x): r gets its exact finite expansion, every other root
+        # the same word as when f is expanded alone
+        f = IntPolynomial.from_coeffs(f)
+        p = f.mul(IntPolynomial.from_coeffs([-r.numerator, r.denominator]))
+        alone = iter(isolate_real_roots(f))
+        for x in isolate_real_roots(p):
+            cf = expand(x, depth)
+            if x.minpoly.sign_at(r) == 0 and x.isolating.lo <= r <= x.isolating.hi:
+                assert (cf.word(), cf.terminated) == euclid(r, depth)
+            else:
+                other = expand(next(alone), depth)
+                assert (cf.word(), cf.terminated) == (other.word(), False)
 
 
 class TestConvergents:

@@ -41,6 +41,13 @@ class TestExpand:
             rep["config"].pop("no_cache")
         assert rep1 == rep2 == rep3
 
+    def test_integer_root(self, capsys):
+        # (x - 3)(x^2 + 3): the real root is exactly the integer 3
+        code, rep = run(capsys, "expand", "--poly=-9,3,-3,1", "--root-index", "0")
+        assert code == 0
+        assert (rep["result"]["a0"], rep["result"]["quotients"]) == (3, [])
+        assert rep["result"]["terminated"] is True
+
     def test_digest_excludes_timestamp(self, capsys):
         _, rep1 = run(capsys, "expand", "--poly", "-3,0,1", "--depth", "5", "--no-cache")
         _, rep2 = run(capsys, "expand", "--poly", "-3,0,1", "--depth", "5", "--no-cache")
@@ -182,6 +189,6 @@ class TestConfigAndErrors:
             f"expand --poly -2,0,1 --depth 5 --output {out1}\n"
             f"period --poly -7,0,1 --output {out2}\n"
         )
-        assert main(["batch", str(jobs), "--workers", "2"]) == 0
+        assert main(["batch", str(jobs)]) == 0
         assert json.loads(out1.read_text())["result"]["quotients"] == [2] * 5
         assert json.loads(out2.read_text())["result"]["period"] == [1, 1, 1, 4]
