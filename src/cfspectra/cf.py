@@ -285,44 +285,56 @@ class IdentityReport:
         }
 
 
-def _finite_cf_value(letters) -> Fraction:
-    v = Fraction(letters[-1])
-    for a in reversed(letters[:-1]):
-        v = a + 1 / v
-    return v
+def _growth_holds_from(n: int, q: list[int], bits: list[int], slack_min: list[int]) -> bool:
+    """Whether 2 q_{m+n}^2 >= 2^m q_n^2 for every m, 1 <= m <= len(q) - 1 - n.
+
+    With t = 2 bits(q_{m+n}) - 2 bits(q_n) - m the inequality holds when
+    t >= 1 and fails when t <= -3, so only the band -2 <= t <= 0 needs the
+    exact products. slack_min[k] is the least 2 bits(q_j) - j over j >= k, so
+    the scan stops once no later index can fall to t <= 0.
+    """
+    c = 2 * bits[n] - n
+    qn2 = q[n] * q[n]
+    for k in range(n + 1, len(q)):
+        if slack_min[k] > c:
+            return True
+        t = 2 * bits[k] - k - c
+        if t <= -3 or (t <= 0 and 2 * q[k] * q[k] < qn2 << (k - n)):
+            return False
+    return True
 
 
 def verify_cf_identities(cf: CFExpansion, depth: int) -> IdentityReport:
     depth = min(depth, cf.depth)
-    word = cf.word()
     determinant = []
     for n in range(depth + 1):
         pn, qn = cf.convergent(n)
         pm, qm = cf.convergent(n - 1)
         determinant.append(pn * qm - pm * qn == (-1) ** (n + 1))
+    # q_n / q_{n-1} = [a_n; ..., a_1], rebuilt from the letters one at a time
+    # and not from the cached convergents, so a wrong convergent shows here
     mirror = []
-    for n in range(1, depth + 1):
+    num, den = 1, 0
+    for n, a in enumerate(cf.quotients[:depth], 1):
+        num, den = a * num + den, num
         _, qn = cf.convergent(n)
         _, qm = cf.convergent(n - 1)
-        mirror.append(Fraction(qn, qm) == _finite_cf_value(word[1 : n + 1][::-1]))
-    growth = []
-    for n in range(1, depth):
-        ok = True
-        _, qn = cf.convergent(n)
-        for m in range(1, depth - n + 1):
-            _, qmn = cf.convergent(m + n)
-            if qmn * qmn * 2 < (1 << m) * qn * qn:  # q_{m+n}^2 >= 2^(m-1) q_n^2
-                ok = False
-                break
-        growth.append(ok)
+        mirror.append(qn * den == qm * num)
+    q = [cf.convergent(n)[1] for n in range(depth + 1)]
+    bits = [v.bit_length() for v in q]
+    slack_min = [2 * b - k for k, b in enumerate(bits)]
+    for k in range(depth - 1, -1, -1):
+        slack_min[k] = min(slack_min[k], slack_min[k + 1])
+    growth = [_growth_holds_from(n, q, bits, slack_min) for n in range(1, depth)]
     approximation = None
     if cf.source is not None and not cf.terminated:
         _, qN = cf.convergent(depth)
         x_iv = cf.source.value_interval(2 * qN.bit_length() + 32)
+        ends = [(e.numerator, e.denominator) for e in (x_iv.lo, x_iv.hi)]
+        # |x - p_n/q_n| < 1/(q_n q_{n+1}) at both ends of x's enclosure, in integers
         approximation = []
         for n in range(depth):
             pn, qn = cf.convergent(n)
             _, qn1 = cf.convergent(n + 1)
-            err = (x_iv - Fraction(pn, qn)).abs()
-            approximation.append(err.hi < Fraction(1, qn * qn1))
+            approximation.append(all(abs(u * qn - pn * v) * qn1 < v for u, v in ends))
     return IdentityReport(determinant, mirror, growth, approximation)

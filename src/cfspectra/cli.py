@@ -84,6 +84,9 @@ def load_word_file(path: str) -> tuple[int, list[int]]:
             qs = [int(a) for a in data["quotients"]]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
             raise InputError(f"{path}:1: malformed word JSON: {e}") from None
+        bad = next((a for a in qs if a < 1), None)
+        if bad is not None:
+            raise InputError(f"{path}:1: partial quotient {bad} is below 1")
         return a0, qs
     ints = []
     for i, line in enumerate(text.splitlines(), 1):
@@ -94,6 +97,8 @@ def load_word_file(path: str) -> tuple[int, list[int]]:
             ints.append(int(line))
         except ValueError:
             raise InputError(f"{path}:{i}: not an integer: {line!r}") from None
+        if len(ints) > 1 and ints[-1] < 1:
+            raise InputError(f"{path}:{i}: partial quotient {ints[-1]} is below 1")
     if not ints:
         raise InputError(f"{path}: empty word file")
     return ints[0], ints[1:]
@@ -111,6 +116,13 @@ def _fraction(text, where: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"{where}: not a rational: {text!r} ({e})") from None
+
+
+def _positive_fraction(text, where: str) -> Fraction:
+    value = _fraction(text, where)
+    if value <= 0:
+        raise InputError(f"{where}: must be positive, got {text!r}")
+    return value
 
 
 def select_root(poly: IntPolynomial, index: int) -> AlgebraicNumber:
@@ -369,7 +381,7 @@ def cmd_complexity(args, cfg) -> dict:
 
 
 def cmd_detect(args, cfg) -> dict:
-    L = _fraction(cfg["L"], "--L")
+    L = _positive_fraction(cfg["L"], "--L")
     min_b = int(cfg["min_b"])
     if args.kind in ("repetition", "mirror"):
         w = _word_for_detectors(args, cfg)
@@ -410,6 +422,18 @@ def _pair_context(args, cfg) -> PairContext:
     return PairContext(x, x2, cf, cf2)
 
 
+def _require_witness_depth(ctx: PairContext, wt: SharedBlockWitness) -> None:
+    """Witness offsets must lie inside both expansions (convergent k+m, l+m)."""
+    if min(wt.k, wt.l, wt.m) < 0:
+        raise InputError(f"witness k={wt.k}, l={wt.l}, m={wt.m} has a negative entry")
+    if wt.k + wt.m > ctx.cf.depth or wt.l + wt.m > ctx.cf2.depth:
+        need = max(wt.k, wt.l) + wt.m
+        raise InputError(
+            f"witness k={wt.k}, l={wt.l}, m={wt.m} needs expansions to depth {need}; "
+            f"have {ctx.cf.depth} and {ctx.cf2.depth}"
+        )
+
+
 def _harness_job(args, cfg) -> dict:
     """Witness batch: {"alpha": coeffs, "alpha_prime": coeffs, "depth": int,
     "witnesses": [{k,l,m,mirror}...]} or "auto": {"L":…, "minB":…, "mirror":…}.
@@ -438,20 +462,24 @@ def _harness_job(args, cfg) -> dict:
         ]
     elif "auto" in data:
         auto = data["auto"]
+        min_b = int(auto.get("minB", cfg["min_b"]))
+        if min_b < 1:
+            raise InputError(f"{args.job}: auto.minB must be >= 1")
         wits = find_shared_blocks(
             cf.quotients,
             cf2.quotients,
-            _fraction(auto.get("L", cfg["L"]), "auto.L"),
-            int(auto.get("minB", cfg["min_b"])),
+            _positive_fraction(auto.get("L", cfg["L"]), "auto.L"),
+            min_b,
             mirror=bool(auto.get("mirror", False)),
         )
     else:
         raise InputError(f"{args.job}: need 'witnesses' or 'auto'")
-    delta = _fraction(cfg["delta"], "--delta")
-    L = _fraction(cfg["L"], "--L")
+    delta = _positive_fraction(cfg["delta"], "--delta")
+    L = _positive_fraction(cfg["L"], "--L")
     rows = []
     undecided = 0
     for wt in wits:
+        _require_witness_depth(ctx, wt)
         row = wt.to_dict()
         row["growth_holds"] = check_growth_condition(ctx, wt, delta, L)
         if wt.mirror:
@@ -481,6 +509,7 @@ def cmd_harness(args, cfg) -> dict:
         return {"identity": "mirror" if cfg["mirror"] else "plain", "holds": holds}
     ctx = _pair_context(args, cfg)
     wt = SharedBlockWitness(int(cfg["k"]), int(cfg["l"]), int(cfg["m"]))
+    _require_witness_depth(ctx, wt)
     if args.kind == "l1":
         rep = l1_smallness_report(ctx, wt, bits=int(cfg["bits"]))
         if rep.holds is None:
@@ -493,8 +522,8 @@ def cmd_harness(args, cfg) -> dict:
             "bits_used": rep.bits_used,
         }
     if args.kind == "growth":
-        delta = _fraction(cfg["delta"], "--delta")
-        L = _fraction(cfg["L"], "--L")
+        delta = _positive_fraction(cfg["delta"], "--delta")
+        L = _positive_fraction(cfg["L"], "--L")
         return {"holds": check_growth_condition(ctx, wt, delta, L)}
     raise InputError(f"unknown harness kind {args.kind!r}")
 
@@ -538,7 +567,9 @@ def cmd_orbit(args, cfg) -> dict:
         }
     if args.kind == "gap":
         _, cf, _ = _expansion_from_args(args, cfg)
-        eps = _fraction(cfg["epsilon"], "--epsilon")
+        eps = _positive_fraction(cfg["epsilon"], "--epsilon")
+        if int(cfg["k"]) < 1:
+            raise InputError("--k must be >= 1 for the growth-gap scan")
         hits = growth_gap_scan(cf, int(cfg["k"]), eps)
         return {"k": int(cfg["k"]), "epsilon": str(eps), "hits": hits}
     raise InputError(f"unknown orbit kind {args.kind!r}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate, chain, compress, count, islice
 
 
 def _as_word(w) -> tuple[int, ...]:
@@ -66,30 +67,59 @@ class SharedBlockWitness:
         return {"k": self.k, "l": self.l, "m": self.m, "ratio": str(self.ratio), "mirror": self.mirror}
 
 
-def _find_prefix_repetitions(w, L, min_b: int, mirror: bool, require_nonempty_a: bool):
-    w = _as_word(w)
+def _ratio_bound(L) -> tuple[int, int]:
+    """Numerator and denominator of the positive length-ratio budget L."""
     L = Fraction(L)
     if L <= 0:
         raise ValueError("L must be positive")
+    return L.numerator, L.denominator
+
+
+def _lce_rows(a, b, mirror: bool = False):
+    """Rows of the longest-common-extension table of a against b, last row first.
+
+    Yields (i, row) for i = len(a) - 1 down to 0. Without mirror, row[j] is
+    the largest m with a[i:i+m] == b[j:j+m], by E[i][j] = E[i+1][j+1] + 1 on a
+    match. With mirror set, row[e] is the largest m with a[i:i+m] equal to
+    b[e-m+1:e+1] reversed, by R[i][e] = R[i+1][e-1] + 1. Only the previous
+    row is kept, so memory is O(len(b)).
+    """
+    row = [0] * len(b)
+    for i in range(len(a) - 1, -1, -1):
+        x = a[i]
+        diagonal = chain((0,), row) if mirror else chain(islice(row, 1, None), (0,))
+        row = [d + 1 if c == x else 0 for d, c in zip(diagonal, b)]
+        yield i, row
+
+
+def _find_prefix_repetitions(w, L, min_b: int, mirror: bool, require_nonempty_a: bool):
+    w = _as_word(w)
+    num, den = _ratio_bound(L)
     if min_b < 1:
         raise ValueError("minB must be >= 1")
-    n = len(w)
     low = 1 if require_nonempty_a else 0
-    out = []
-    for m in range(min_b, n // 2 + 1):
-        for ka in range(low, n - 2 * m + 1):
-            block = w[ka : ka + m]
-            # second copy starts at ka + m + ka2
-            for ka2 in range(low, n - ka - 2 * m + 1):
-                if Fraction(ka + ka2, m) > L:
-                    break  # ka2 only grows; ratio is monotone in ka2
-                second = w[ka + m + ka2 : ka + 2 * m + ka2]
-                if second == (block[::-1] if mirror else block):
-                    out.append(
-                        RepetitionWitness(ka, ka2, m, Fraction(ka + ka2, m), mirror)
-                    )
-    out.sort(key=lambda t: (t.m, t.kA, t.kA_prime))
-    return out
+    n = len(w)
+    found = []
+    # row j: the second block starts at j. With |A| + |A'| = j - m, the ratio
+    # test (j - m) / m <= L reads m >= j / (1 + L).
+    for j, row in _lce_rows(w, w, mirror):
+        m_lo = max(min_b, -(-j * den // (num + den)))
+        if m_lo > n - j:
+            continue  # no block that long fits from j on
+        if mirror:
+            # row[e]: the first block ends at e, so kA = e + 1 - m, kA' = j - 1 - e
+            for e in range(j - low):
+                if row[e] >= m_lo:
+                    m_hi = min(row[e], e + 1 - low)
+                    found.extend((m, e + 1 - m, j - 1 - e) for m in range(m_lo, m_hi + 1))
+        else:
+            # row[i]: the first block starts at i = kA, so kA' = j - i - m
+            for i in range(low, j):
+                if row[i] >= m_lo:
+                    m_hi = min(row[i], j - i - low)
+                    found.extend((m, i, j - i - m) for m in range(m_lo, m_hi + 1))
+    found.sort()
+    return [RepetitionWitness(ka, ka2, m, Fraction(ka + ka2, m), mirror) for m, ka, ka2 in found]
 
 
 def find_repetitions(w, L, min_b: int = 1, *, require_nonempty_a: bool = True):
@@ -113,6 +143,19 @@ def strictly_increasing_blocks(witnesses):
     return out
 
 
+def _longest_mirror_from(row) -> list[int]:
+    """Per start l, the largest m with row[l + m - 1] >= m (below 1 if none).
+
+    A mirror match of length r ending at e covers every start in
+    [e - r + 1, e], so the answer at l is reached by the largest end e whose
+    run starts at or before l: a running maximum over block starts.
+    """
+    end_by_start = [-1] * len(row)
+    for e in compress(count(), row):
+        end_by_start[e + 1 - row[e]] = e
+    return [e + 1 - l for l, e in enumerate(accumulate(end_by_start, max))]
+
+
 def find_shared_blocks(a, a2, L, min_b: int = 1, mirror: bool = False):
     """Maximal shared (or mirrored) blocks between two words.
 
@@ -121,26 +164,19 @@ def find_shared_blocks(a, a2, L, min_b: int = 1, mirror: bool = False):
     """
     a = _as_word(a)
     a2 = _as_word(a2)
-    L = Fraction(L)
-    if L <= 0:
-        raise ValueError("L must be positive")
+    num, den = _ratio_bound(L)
+    if min_b < 1:
+        raise ValueError("minB must be >= 1")
     out = []
-    for k in range(len(a)):
-        for l in range(len(a2)):
-            cap = min(len(a) - k, len(a2) - l)
-            best = 0
-            if mirror:
-                for m in range(cap, min_b - 1, -1):
-                    if a[k : k + m] == a2[l : l + m][::-1]:
-                        best = m
-                        break
-            else:
-                m = 0
-                while m < cap and a[k + m] == a2[l + m]:
-                    m += 1
-                best = m
-            if best >= min_b and Fraction(k + l, best) <= L:
-                out.append(SharedBlockWitness(k, l, best, mirror))
+    for k, row in _lce_rows(a, a2, mirror):
+        if k * den > num * (len(a) - k):
+            continue  # even a block running to the end of a has ratio > L
+        best = _longest_mirror_from(row) if mirror else row
+        out.extend(
+            SharedBlockWitness(k, l, m, mirror)
+            for l, m in enumerate(best)
+            if m >= min_b and (k + l) * den <= num * m
+        )
     out.sort(key=lambda t: (t.k, t.l))
     return out
 
@@ -175,14 +211,17 @@ def same_tail_offset(a, a2, min_tail: int = 1) -> tuple[int, int] | None:
         raise ValueError("minTail must be >= 1")
     a = _as_word(a)
     a2 = _as_word(a2)
-    for i in range(1, len(a) + 1):
-        for j in range(1, len(a2) + 1):
-            overlap = min(len(a) - i, len(a2) - j) + 1
-            if overlap < min_tail:
-                continue
-            if a[i - 1 : i - 1 + overlap] == a2[j - 1 : j - 1 + overlap]:
-                return (i, j)
-    return None
+    n, n2 = len(a), len(a2)
+    found = None
+    # (i, j) qualifies when the common extension reaches the end of one word
+    for i, row in _lce_rows(a, a2):
+        j = next(
+            (j for j, m in enumerate(row) if m >= min_tail and (m == n - i or m == n2 - j)),
+            None,
+        )
+        if j is not None:
+            found = (i + 1, j + 1)
+    return found
 
 
 def last_letter_threshold_held(wt: SharedBlockWitness, bound: int = 3) -> bool:

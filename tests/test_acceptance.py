@@ -24,6 +24,7 @@ from cfspectra import (
     orbit_best_approximations,
     separation_bound,
     subword_complexity,
+    validate_witness,
     word_matrix,
 )
 from cfspectra.orbit import complete_unimodular
@@ -277,3 +278,28 @@ def test_11_performance_depth_1000():
     assert all(a >= 1 for a in cf.quotients)
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     assert peak_kb < 1024 * 1024  # 1 GB, Linux reports kilobytes
+
+
+def test_12_detectors_at_1000_letters():
+    """All four detectors on the depth-1000 words of the real roots of x^3-2
+    and x^3-3 within 20 s; every witness re-validates against the words."""
+    a = tuple(expand(root_of([-2, 0, 0, 1]), 1000).quotients)
+    b = tuple(expand(root_of([-3, 0, 0, 1]), 1000).quotients)
+    with timed(20):
+        shared = find_shared_blocks(a, b, 2, 1) + find_shared_blocks(a, b, 2, 1, mirror=True)
+        repetitions = [
+            (w, wt)
+            for w in (a, b)
+            for wt in find_repetitions(w, 2, 1) + find_mirror_repetitions(w, 2, 1)
+        ]
+    assert shared and repetitions
+    for wt in shared:
+        assert validate_witness(wt, a, b)
+        assert wt.m >= 1 and wt.ratio <= 2
+    for w, wt in repetitions:
+        j = wt.kA + wt.m + wt.kA_prime
+        first, second = w[wt.kA : wt.kA + wt.m], w[j : j + wt.m]
+        assert len(second) == wt.m
+        assert first == (second[::-1] if wt.mirror else second)
+        assert wt.kA >= 1 and wt.kA_prime >= 1
+        assert wt.ratio == Fraction(wt.kA + wt.kA_prime, wt.m) <= 2

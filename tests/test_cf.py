@@ -204,6 +204,85 @@ class TestIdentities:
         assert report.approximation is None  # no source number attached
 
 
+    @given(st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=30), st.data())
+    def test_tampered_convergent_breaks_its_identities(self, w, data):
+        cf = CFExpansion(w[0], w[1:])
+        depth = cf.depth
+        n = data.draw(st.integers(min_value=1, max_value=depth))
+        cf.convergent(0)
+        p, q = cf._pq[n]
+        cf._pq[n] = (2 * p, 2 * q)
+        report = verify_cf_identities(cf, depth)
+        touched = {n, n + 1}  # identities at n and n + 1 read the pair at n
+        assert report.determinant == [i not in touched for i in range(depth + 1)]
+        assert report.mirror_ratio == [i not in touched for i in range(1, depth + 1)]
+
+    def test_approximation_matches_fractions(self, cbrt2):
+        cf = expand(cbrt2, 120)
+        x_iv = cbrt2.value_interval(2 * cf.convergent(120)[1].bit_length() + 32)
+        expected = []
+        for n in range(120):
+            p, q = cf.convergent(n)
+            err = (x_iv - Fraction(p, q)).abs()
+            expected.append(err.hi < Fraction(1, q * cf.convergent(n + 1)[1]))
+        assert verify_cf_identities(cf, 120).approximation == expected
+
+
+def direct_growth(cf, depth):
+    """q_{m+n}^2 * 2 >= 2^m * q_n^2 for every m, with the exact products only."""
+    q = [cf.convergent(n)[1] for n in range(depth + 1)]
+    return [
+        all(2 * q[n + m] ** 2 >= 2**m * q[n] ** 2 for m in range(1, depth - n + 1))
+        for n in range(1, depth)
+    ]
+
+
+# long runs of 1s grow slowest, so the bit-length test sits closest to its band
+runs_of_ones = st.lists(
+    st.one_of(
+        st.lists(st.just(1), min_size=1, max_size=40),
+        st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda parts: [a for part in parts for a in part])
+
+
+class TestGrowthIdentity:
+    @given(runs_of_ones)
+    def test_matches_direct_formula(self, w):
+        cf = CFExpansion(1, w)
+        assert verify_cf_identities(cf, cf.depth).convergent_growth == direct_growth(cf, cf.depth)
+
+    @given(runs_of_ones, st.data())
+    def test_matches_direct_formula_on_tampered_denominators(self, w, data):
+        # scaled denominators make the identity fail, so both verdicts are compared
+        cf = CFExpansion(0, w)
+        cf.convergent(0)
+        for n in data.draw(st.lists(st.integers(min_value=1, max_value=cf.depth), max_size=3)):
+            p, q = cf._pq[n]
+            cf._pq[n] = (p, q * data.draw(st.sampled_from([2, 3, 5, 16, 1000])))
+        assert verify_cf_identities(cf, cf.depth).convergent_growth == direct_growth(cf, cf.depth)
+
+    def test_band_edge(self):
+        # for n = 1, m = 2 the bit lengths give t = 0: only 2 * 8^2 < 2^2 * 7^2 decides
+        cf = CFExpansion(0, [1, 1, 1])
+        cf.convergent(0)
+        for n, q in ((1, 7), (2, 10), (3, 8)):
+            cf._pq[n] = (cf._pq[n][0], q)
+        growth = verify_cf_identities(cf, 3).convergent_growth
+        assert growth == direct_growth(cf, 3)
+        assert growth[0] is False
+
+    def test_random_words(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            w = [rng.choice((1, 1, 1, 2, rng.randint(1, 99))) for _ in range(rng.randint(1, 80))]
+            cf = CFExpansion(rng.randint(-3, 3), w)
+            depth = rng.randint(0, cf.depth)
+            assert verify_cf_identities(cf, depth).convergent_growth == direct_growth(cf, depth)
+
+
 class TestGrowth:
     def test_integer_nth_root(self):
         assert integer_nth_root(0, 3) == 0

@@ -178,6 +178,51 @@ class TestConfigAndErrors:
         assert code == 1
         assert f"{wf}:3" in err
 
+    def test_word_file_letter_below_one_detect(self, capsys, tmp_path):
+        wf = tmp_path / "w.txt"
+        wf.write_text("0\n1\n2\n0\n2\n")
+        code = main(["detect", "--kind", "repetition", "--word", str(wf)])
+        assert code == 1
+        assert f"{wf}:4" in capsys.readouterr().err
+
+    def test_word_file_letter_below_one_convergents(self, capsys, tmp_path):
+        wf = tmp_path / "w.json"
+        wf.write_text('{"a0": -2, "quotients": [1, -3, 2]}')
+        code = main(["convergents", "--word", str(wf)])
+        assert code == 1
+        assert f"{wf}:1" in capsys.readouterr().err
+        # a0 may be any integer
+        wf.write_text('{"a0": -2, "quotients": [1, 3, 2]}')
+        assert main(["convergents", "--word", str(wf)]) == 0
+
+    def test_detect_nonpositive_L(self, capsys, tmp_path):
+        wf = tmp_path / "w.txt"
+        wf.write_text("1\n2\n1\n2\n")
+        for L in ("0", "-1/2"):
+            assert main(["detect", "--kind", "shared", "--word", str(wf), "--word2", str(wf), "--L", L]) == 1
+            assert main(["detect", "--kind", "repetition", "--word", str(wf), "--L", L]) == 1
+        assert "must be positive" in capsys.readouterr().err
+
+    def test_harness_l1_witness_past_depth(self, capsys):
+        code = main(
+            ["harness", "--kind", "l1", "--poly=-2,0,1", "--poly2=-3,0,1",
+             "--depth", "10", "--k", "9", "--l", "9", "--m", "9"]
+        )
+        assert code == 1
+        assert "depth 18" in capsys.readouterr().err
+        code = main(
+            ["harness", "--kind", "growth", "--poly=-2,0,1", "--poly2=-3,0,1",
+             "--depth", "10", "--k", "-3", "--l", "1", "--m", "1"]
+        )
+        assert code == 1
+        assert "negative" in capsys.readouterr().err
+
+    def test_gap_scan_nonpositive_parameters(self, capsys):
+        base = ["orbit", "--kind", "gap", "--poly=-2,0,0,1", "--depth", "20"]
+        assert main([*base, "--epsilon", "0"]) == 1
+        assert main([*base, "--k", "0"]) == 1
+        assert main([*base, "--k", "2", "--epsilon", "1/3"]) == 0
+
     def test_missing_subcommand_args(self, capsys):
         assert main(["expand"]) == 1
 

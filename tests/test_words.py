@@ -22,16 +22,16 @@ from cfspectra.words import (
 small_words = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=12)
 
 
-def oracle_repetitions(w, L, min_b, mirror):
+def oracle_repetitions(w, L, min_b, mirror, low=1):
     """Direct triple-loop reference: every (kA, m, kA') with w[kA:kA+m]
-    matching w[kA+m+kA':kA+2m+kA'] (reversed when mirror)."""
+    matching w[kA+m+kA':kA+2m+kA'] (reversed when mirror) and kA, kA' >= low."""
     w = tuple(w)
     L = Fraction(L)
     n = len(w)
     out = []
-    for ka in range(1, n + 1):
+    for ka in range(low, n + 1):
         for m in range(min_b, n + 1):
-            for ka2 in range(1, n + 1):
+            for ka2 in range(low, n + 1):
                 if ka + 2 * m + ka2 > n:
                     continue
                 if Fraction(ka + ka2, m) > L:
@@ -61,6 +61,26 @@ def oracle_shared(a, a2, L, min_b, mirror):
             if best >= min_b and Fraction(k + l, best) <= L:
                 out.append((k, l, best))
     return sorted(out)
+
+
+def oracle_same_tail(a, a2, min_tail):
+    """The slicing loop: first (i, j), 1-based, whose suffixes agree on their overlap."""
+    a, a2 = tuple(a), tuple(a2)
+    for i in range(1, len(a) + 1):
+        for j in range(1, len(a2) + 1):
+            overlap = min(len(a) - i, len(a2) - j) + 1
+            if overlap >= min_tail and a[i - 1 : i - 1 + overlap] == a2[j - 1 : j - 1 + overlap]:
+                return (i, j)
+    return None
+
+
+# binary words repeat often, so the detectors' boundary cases show up
+dense_words = st.lists(st.integers(min_value=1, max_value=2), min_size=1, max_size=16)
+any_words = st.one_of(small_words, dense_words)
+ratios = st.one_of(
+    st.integers(min_value=1, max_value=4),
+    st.builds(Fraction, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=5)),
+)
 
 
 class TestComplexity:
@@ -103,12 +123,24 @@ class TestRepetitions:
         w = (9, 9, 9, 9, 1, 2, 9, 9, 1, 2)
         assert find_repetitions(w, L=Fraction(1, 2), min_b=2) == []
 
-    @given(small_words, st.integers(min_value=1, max_value=4))
-    def test_against_oracle(self, w, L):
-        got = [(t.kA, t.kA_prime, t.m) for t in find_repetitions(w, L, 1)]
-        assert got == oracle_repetitions(w, L, 1, False)
-        got_m = [(t.kA, t.kA_prime, t.m) for t in find_mirror_repetitions(w, L, 1)]
-        assert got_m == oracle_repetitions(w, L, 1, True)
+    @given(any_words, ratios, st.integers(min_value=1, max_value=3), st.booleans())
+    def test_against_oracle(self, w, L, min_b, nonempty):
+        # exact list equality, order included
+        low = 1 if nonempty else 0
+        for finder, mirror in ((find_repetitions, False), (find_mirror_repetitions, True)):
+            wits = finder(w, L, min_b, require_nonempty_a=nonempty)
+            got = [(t.kA, t.kA_prime, t.m) for t in wits]
+            assert got == oracle_repetitions(w, L, min_b, mirror, low)
+            for t in wits:
+                assert t.mirror is mirror
+                assert t.ratio == Fraction(t.kA + t.kA_prime, t.m)
+
+    def test_rejects_bad_budgets(self):
+        for finder in (find_repetitions, find_mirror_repetitions):
+            with pytest.raises(ValueError):
+                finder((1, 2, 1, 2), 0)
+            with pytest.raises(ValueError):
+                finder((1, 2, 1, 2), 2, 0)
 
 
 class TestSharedBlocks:
@@ -120,10 +152,18 @@ class TestSharedBlocks:
         wits = find_shared_blocks((1, 2, 3), (9, 3, 2, 1), L=10, min_b=3, mirror=True)
         assert [(t.k, t.l, t.m) for t in wits] == [(0, 1, 3)]
 
-    @given(small_words, small_words, st.integers(min_value=1, max_value=4))
-    def test_against_oracle(self, a, a2, L):
-        got = sorted((t.k, t.l, t.m) for t in find_shared_blocks(a, a2, L, 1))
-        assert got == oracle_shared(a, a2, L, 1, False)
+    @given(any_words, any_words, ratios, st.integers(min_value=1, max_value=3), st.booleans())
+    def test_against_oracle(self, a, a2, L, min_b, mirror):
+        # exact list equality, order included
+        wits = find_shared_blocks(a, a2, L, min_b, mirror=mirror)
+        assert [(t.k, t.l, t.m) for t in wits] == oracle_shared(a, a2, L, min_b, mirror)
+        assert all(t.mirror is mirror for t in wits)
+
+    def test_rejects_bad_budgets(self):
+        with pytest.raises(ValueError):
+            find_shared_blocks((1, 2), (1, 2), -1)
+        with pytest.raises(ValueError):
+            find_shared_blocks((1, 2), (1, 2), 2, 0, mirror=True)
 
     @given(small_words, small_words)
     def test_witnesses_validate(self, a, a2):
@@ -203,3 +243,18 @@ class TestTailAndCycle:
 
     def test_disjoint(self):
         assert same_tail_offset((1, 1, 1), (2, 2, 2), min_tail=2) is None
+
+
+class TestSameTailOracle:
+    @given(any_words, any_words, st.integers(min_value=1, max_value=4))
+    def test_against_slicing_loop(self, a, a2, min_tail):
+        assert same_tail_offset(a, a2, min_tail) == oracle_same_tail(a, a2, min_tail)
+
+    @given(any_words, any_words, any_words, st.integers(min_value=1, max_value=4))
+    def test_common_suffix(self, p, p2, tail, min_tail):
+        a, a2 = p + tail, p2 + tail
+        assert same_tail_offset(a, a2, min_tail) == oracle_same_tail(a, a2, min_tail)
+
+    @given(any_words, st.integers(min_value=1, max_value=4))
+    def test_equal_words(self, w, min_tail):
+        assert same_tail_offset(w, w, min_tail) == oracle_same_tail(w, w, min_tail)
