@@ -541,6 +541,10 @@ def cmd_orbit(args, cfg) -> dict:
             alpha = select_root(
                 _poly_arg(args, cfg, "poly2", "poly2_file"), int(cfg["root_index2"])
             )
+        if int(cfg["bits"]) < 1:
+            raise InputError("--bits must be >= 1 for an orbit scan")
+        if alpha is not None and cfg["mode"] == "quadratic" and alpha.degree != 2:
+            raise InputError("quadratic mode needs a quadratic irrational --poly2")
         res = orbit_best_approximations(
             xi,
             alpha,
@@ -740,6 +744,11 @@ def _run_batch(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    # reports carry integers past the 4300-digit int/str conversion limit
+    # of Python 3.11+ (convergents at depth 10^4)
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _run_single(list(argv))
     except InputError as e:
@@ -748,6 +757,9 @@ def main(argv: list[str] | None = None) -> int:
     except PrecisionExhausted as e:
         print(f"cfspectra: undecided at precision cap: {e}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

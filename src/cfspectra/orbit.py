@@ -6,11 +6,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, gcd
+from math import gcd, lcm, log2
 
-from .algebraic import AlgebraicNumber, alg_equal, moebius_apply, quadratic_conjugate
+from .algebraic import (
+    REFINE_HARD_CAP,
+    AlgebraicNumber,
+    alg_equal,
+    moebius_apply,
+    quadratic_conjugate,
+)
 from .cf import CFExpansion
 from .enclose import log_ratio_enclosure
+from .errors import PrecisionExhausted
 from .intervals import FInterval
 from .matrices import Mat2
 
@@ -31,11 +38,19 @@ def norm_of(m: Mat2) -> int:
     return m.norm()
 
 
-def quadratic_norm(m: Mat2, alpha: AlgebraicNumber, bits: int = 64) -> FInterval:
-    """Enclosure of |(c a + d)(c a^s + d) / (a - a^s)| for quadratic a."""
+def quadratic_norm(
+    m: Mat2, alpha: AlgebraicNumber, bits: int = 64, *, conj: AlgebraicNumber | None = None
+) -> FInterval:
+    """Enclosure of |(c a + d)(c a^s + d) / (a - a^s)| for quadratic a.
+
+    conj, when given, is alpha's conjugate (the other root of its minimal
+    polynomial) and is refined in place. The enclosures double their bits
+    until a - a^s excludes 0; past REFINE_HARD_CAP that is undecided.
+    """
     if alpha.degree != 2:
         raise ValueError("quadratic norm requires a quadratic irrational")
-    conj = quadratic_conjugate(alpha)
+    if conj is None:
+        conj = quadratic_conjugate(alpha)
     work = bits
     while True:
         a = alpha.value_interval(work)
@@ -45,6 +60,8 @@ def quadratic_norm(m: Mat2, alpha: AlgebraicNumber, bits: int = 64) -> FInterval
         if not den.contains_zero():
             return (num / den).abs()
         work *= 2
+        if work > REFINE_HARD_CAP:
+            raise PrecisionExhausted("quadratic norm: conjugates not separated at the cap")
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -137,6 +154,37 @@ def _exponent(distance: FInterval, norm) -> FInterval | None:
     return log_ratio_enclosure(inv, norm_iv)
 
 
+# Pruning against the running best. A candidate is a record when the upper end
+# of its exponent enclosure, log(1/dist.lo) / log(norm.lo) from
+# log_ratio_enclosure at 96 bits, exceeds best_hi; that end overshoots the true
+# ratio by about 2^-90 relative. U below is the same ratio in floats: both
+# log2s go through _log2_ratio, within 2^-51 (1 + |log2|) each, and with
+# log2(norm.lo) >= _PRUNE_MIN_LOG2 the quotient is within about 2^-40 (1 + |U|)
+# of the true ratio. So U + 2^-30 (1 + |U|) < float(best_hi), which also absorbs
+# best_hi's rounding to a float, proves exp.hi <= best_hi: the unpruned scan
+# would not have recorded the candidate, and best_hi evolves exactly as there.
+# Norms closer to 1 are never pruned.
+_PRUNE_MARGIN = 2.0**-30
+_PRUNE_MIN_LOG2 = 2.0**-10
+
+
+def _log2_ratio(num: int, den: int) -> float:
+    """log2(num / den) for positive integers, within 2^-51 (1 + |result|)."""
+    k = num.bit_length() - den.bit_length()
+    if k > 0:
+        den <<= k
+    else:
+        num <<= -k
+    return k + log2(num / den)  # num / den is in (1/2, 2), correctly rounded
+
+
+def _cannot_beat(dist_num: int, dist_den: int, log2_norm: float, best: float) -> bool:
+    """True when the distance dist_num / dist_den at a norm with the given
+    log2 provably gives an exponent enclosure whose hi is <= the running best."""
+    u = _log2_ratio(dist_den, dist_num) / log2_norm
+    return u + _PRUNE_MARGIN * (1 + abs(u)) < best
+
+
 def rational_baseline_scan(
     xi, height: int, bits: int = 256, min_norm: int = 2
 ) -> OrbitScanResult:
@@ -149,26 +197,39 @@ def rational_baseline_scan(
     result = OrbitScanResult()
     xi_iv = _xi_interval(xi, bits)
     mid = (xi_iv.lo + xi_iv.hi) / 2
+    lo_n, lo_d = xi_iv.lo.numerator, xi_iv.lo.denominator
+    hi_n, hi_d = xi_iv.hi.numerator, xi_iv.hi.denominator
     best_hi = Fraction(0)
+    best = 0.0
     for c in range(max(2, min_norm), height + 1):
-        for a in (floor(c * mid), floor(c * mid) + 1):
-            if gcd(abs(a), c) != 1:
+        a0 = c * mid.numerator // mid.denominator
+        for a in (a0, a0 + 1):
+            if gcd(a, c) != 1:
                 continue
-            dist = (xi_iv - Fraction(a, c)).abs()
-            if dist.hi == 0:
+            # xi_iv - a/c = [e_lo / (c lo_d), e_hi / (c hi_d)]
+            e_lo = c * lo_n - a * lo_d
+            e_hi = c * hi_n - a * hi_d
+            if e_lo > 0:
+                dist = (e_lo, c * lo_d, e_hi, c * hi_d)
+            elif e_hi < 0:
+                dist = (-e_hi, c * hi_d, -e_lo, c * lo_d)
+            elif e_lo == e_hi == 0:
                 result.xi_in_orbit.append(complete_unimodular(c, _small_d(a, c), 1))
                 continue
-            if dist.lo > 0 and best_hi >= 2 and dist.lo * c * c > 1:
+            else:
+                continue  # dist.lo = 0: no exponent
+            if best_hi >= 2 and dist[0] * c * c > dist[1]:
                 continue  # exponent at most 2, cannot improve the running best
-            exp = _exponent(dist, c)
-            if exp is None:
+            if _cannot_beat(dist[0], dist[1], log2(c), best):
                 continue
+            dist_iv = FInterval(Fraction(dist[0], dist[1]), Fraction(dist[2], dist[3]))
+            exp = _exponent(dist_iv, c)
             if exp.hi > best_hi:
-                best_hi = exp.hi
+                best_hi, best = exp.hi, float(exp.hi)
                 result.records.append(
-                    ApproxRecord(complete_unimodular(c, _small_d(a, c), 1), c, dist, exp)
+                    ApproxRecord(complete_unimodular(c, _small_d(a, c), 1), c, dist_iv, exp)
                 )
-    result.records.sort(key=lambda r: r.norm if isinstance(r.norm, int) else r.norm.lo)
+    result.records.sort(key=lambda r: r.norm)
     return result
 
 
@@ -183,6 +244,90 @@ def _small_d(a: int, c: int) -> int:
     return d
 
 
+def _over_common_den(iv: FInterval) -> tuple[int, int, int]:
+    """(p0, p1, q) with iv = [p0 / q, p1 / q]."""
+    q = lcm(iv.lo.denominator, iv.hi.denominator)
+    return (iv.lo.numerator * (q // iv.lo.denominator),
+            iv.hi.numerator * (q // iv.hi.denominator), q)
+
+
+def _image_candidates(alpha: AlgebraicNumber, height: int, bits: int, xi_mid: Fraction):
+    """Enumerate rows; per (c, d, det) the three translates t_opt - 1 .. t_opt + 1
+    of the alpha-image, as (a, b, c, d, lo_num, lo_den, hi_num, hi_den).
+
+    The image interval is the one FInterval arithmetic gives for
+    (a alpha + b) / (c alpha + d) on alpha's interval [p0, p1] / q: the min
+    and max of the four ratios N_i / D_j with N_i = a p_i + b q and
+    D_j = c p_j + d q, denominators made positive. Rows whose denominator
+    straddles 0 get one refinement of alpha to twice the bits, then are dropped.
+    """
+    x_n, x_d = xi_mid.numerator, xi_mid.denominator
+    p0, p1, q = _over_common_den(alpha.value_interval(bits))
+    out = []
+    for c, d in enumerate_bottom_rows(height):
+        d0, d1 = c * p0 + d * q, c * p1 + d * q  # d0 <= d1 since c >= 0
+        if d0 <= 0 <= d1:
+            alpha.refine_to(bits * 2)
+            p0, p1, q = _over_common_den(alpha.value_interval(bits * 2))
+            d0, d1 = c * p0 + d * q, c * p1 + d * q
+            if d0 <= 0 <= d1:
+                continue
+        sign, den_lo, den_hi = (1, d0, d1) if d0 > 0 else (-1, -d1, -d0)
+        for det in (1, -1):
+            base = complete_unimodular(c, d, det)
+            n0 = sign * (base.a * p0 + base.b * q)
+            n1 = sign * (base.a * p1 + base.b * q)
+            n_lo, n_hi = (n0, n1) if n0 <= n1 else (n1, n0)
+            lo_n, lo_d = (n_lo, den_hi) if n_lo >= 0 else (n_lo, den_lo)
+            hi_n, hi_d = (n_hi, den_lo) if n_hi >= 0 else (n_hi, den_hi)
+            # floor(xi_mid - (beta_lo + beta_hi) / 2 + 1/2) over one denominator
+            dd = lo_d * hi_d
+            t_opt = (2 * x_n * dd - x_d * (lo_n * hi_d + hi_n * lo_d) + x_d * dd) // (2 * x_d * dd)
+            for t in (t_opt - 1, t_opt, t_opt + 1):
+                out.append((base.a + t * c, base.b + t * d, c, d,
+                            lo_n + t * lo_d, lo_d, hi_n + t * hi_d, hi_d))
+    return out
+
+
+class _RowNorms:
+    """quadratic_norm(m, alpha) as a fresh call returns it, with the conjugate
+    found once per scan (at the first norm) and the norm once per bottom row.
+
+    A fresh call finds the conjugate's cell apart from alpha's interval at 16,
+    32, ... bits and refines it to the 64-bit cell, which stays apart; when
+    the search ends at 16 or 32 bits, every call thus uses the same 64-bit cell
+    and the norm depends only on (c, d) and alpha's interval. A row's norm is
+    reused while alpha's interval is unchanged (an orbit-hit check may refine
+    alpha in between). A conjugate narrower than 2^-64 after the search
+    (conjugates closer than about 2^-30) gets no cache: a later search on a
+    narrower alpha may end sooner, so every later norm is a fresh call.
+    """
+
+    def __init__(self, alpha: AlgebraicNumber):
+        self.alpha = alpha
+        self.conj: AlgebraicNumber | None = None
+        self.fresh = False
+        self.rows: dict = {}  # (c, d) -> (alpha's interval, norm)
+
+    def norm(self, a: int, b: int, c: int, d: int) -> FInterval:
+        alpha = self.alpha
+        if self.fresh:
+            return quadratic_norm(Mat2(a, b, c, d), alpha)
+        if self.conj is None:
+            if alpha.degree != 2:
+                return quadratic_norm(Mat2(a, b, c, d), alpha)  # raises
+            self.conj = quadratic_conjugate(alpha)
+            if self.conj.isolating.width <= Fraction(1, 1 << 64):
+                self.fresh = True
+                return quadratic_norm(Mat2(a, b, c, d), alpha, conj=self.conj)
+        hit = self.rows.get((c, d))
+        if hit is not None and hit[0] == alpha.isolating:
+            return hit[1]
+        nrm = quadratic_norm(Mat2(a, b, c, d), alpha, conj=self.conj)
+        self.rows[c, d] = (alpha.isolating, nrm)
+        return nrm
+
+
 def orbit_best_approximations(
     xi,
     alpha: AlgebraicNumber | None,
@@ -191,64 +336,56 @@ def orbit_best_approximations(
     *,
     bits: int = 192,
     min_norm: int = 2,
-    translate_window: int | None = None,
 ) -> OrbitScanResult:
     """Scan the PSL(2,Z) orbit of alpha for good approximants to xi.
 
     Records improve the running best exponent and come back sorted by norm.
-    alpha=None selects the rational baseline (orbit of infinity).
+    alpha=None selects the rational baseline (orbit of infinity). Candidates
+    that provably cannot beat the running best skip the log enclosure, so
+    the records are those of the unpruned scan.
     """
     if alpha is None:
         return rational_baseline_scan(xi, height, bits=bits, min_norm=min_norm)
     result = OrbitScanResult()
     xi_iv = _xi_interval(xi, bits)
-    xi_mid = (xi_iv.lo + xi_iv.hi) / 2
-    a_iv = alpha.value_interval(bits)
-    best_hi = Fraction(0)
-    candidates = []
-    for c, d in enumerate_bottom_rows(height):
-        den = c * a_iv + Fraction(d)
-        if den.contains_zero():
-            alpha.refine_to(bits * 2)
-            a_iv = alpha.value_interval(bits * 2)
-            den = c * a_iv + Fraction(d)
-            if den.contains_zero():
-                continue
-        for det in (1, -1):
-            base = complete_unimodular(c, d, det)
-            beta0 = (base.a * a_iv + Fraction(base.b)) / den
-            beta0_mid = (beta0.lo + beta0.hi) / 2
-            t_opt = floor(xi_mid - beta0_mid + Fraction(1, 2))
-            if translate_window is None:
-                ts = (t_opt - 1, t_opt, t_opt + 1)
-            else:
-                ts = range(t_opt - translate_window, t_opt + translate_window + 1)
-            for t in ts:
-                m = psl2z_normalize(Mat2(base.a + t * c, base.b + t * d, c, d))
-                candidates.append((m, beta0 + Fraction(t)))
+    candidates = _image_candidates(alpha, height, bits, (xi_iv.lo + xi_iv.hi) / 2)
     if mode not in ("classic", "quadratic"):
         raise ValueError("mode must be 'classic' or 'quadratic'")
-    for m, beta in candidates:
-        dist = (xi_iv - beta).abs()
-        if dist.lo <= 0:
+    x0, x1, xq = _over_common_den(xi_iv)
+    best_hi = Fraction(0)
+    best = 0.0
+    norms = _RowNorms(alpha)
+    for a, b, c, d, lo_n, lo_d, hi_n, hi_d in candidates:
+        # xi_iv - beta = [x0 / xq - hi_n / hi_d, x1 / xq - lo_n / lo_d]
+        e_lo = x0 * hi_d - hi_n * xq
+        e_hi = x1 * lo_d - lo_n * xq
+        if e_lo > 0:
+            dist = (e_lo, xq * hi_d, e_hi, xq * lo_d)
+        elif e_hi < 0:
+            dist = (-e_hi, xq * lo_d, -e_lo, xq * hi_d)
+        else:
             # possible orbit hit; decide exactly when xi is algebraic
+            m = Mat2(a, b, c, d)
             if isinstance(xi, AlgebraicNumber) and alg_equal(moebius_apply(m, alpha), xi):
                 result.xi_in_orbit.append(m)
             continue  # else: unresolved tiny distance; skip rather than overclaim
         if mode == "quadratic":
-            nrm: object = quadratic_norm(m, alpha, bits=64)
-            if not (nrm.hi <= height):
+            nrm: object = norms.norm(a, b, c, d)
+            if not (nrm.hi <= height) or nrm.lo <= 1:
                 continue
+            log2_norm = _log2_ratio(nrm.lo.numerator, nrm.lo.denominator)
         else:
-            nrm = norm_of(m)
-            if nrm < min_norm:
+            nrm = max(c, abs(d))
+            if nrm < max(min_norm, 2):
                 continue
-        exp = _exponent(dist, nrm)
-        if exp is None:
+            log2_norm = log2(nrm)
+        if log2_norm >= _PRUNE_MIN_LOG2 and _cannot_beat(dist[0], dist[1], log2_norm, best):
             continue
+        dist_iv = FInterval(Fraction(dist[0], dist[1]), Fraction(dist[2], dist[3]))
+        exp = _exponent(dist_iv, nrm)
         if exp.hi > best_hi:
-            best_hi = exp.hi
-            result.records.append(ApproxRecord(m, nrm, dist, exp))
+            best_hi, best = exp.hi, float(exp.hi)
+            result.records.append(ApproxRecord(Mat2(a, b, c, d), nrm, dist_iv, exp))
     result.records.sort(key=lambda r: r.norm if isinstance(r.norm, int) else r.norm.lo)
     return result
 

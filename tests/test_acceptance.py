@@ -303,3 +303,21 @@ def test_12_detectors_at_1000_letters():
         assert first == (second[::-1] if wt.mirror else second)
         assert wt.kA >= 1 and wt.kA_prime >= 1
         assert wt.ratio == Fraction(wt.kA + wt.kA_prime, wt.m) <= 2
+
+
+def test_13_orbit_scan_height_100():
+    """Classic orbit scan of the real root of x^3 - 2 against sqrt(2) up to
+    height 100 within 10 s: 97 records, each unimodular, with norm
+    max(|c|, |d|) and a distance enclosure meeting |xi - M(alpha)| at 400 bits."""
+    xi, alpha = root_of([-2, 0, 0, 1]), root_of([-2, 0, 1])
+    with timed(10):
+        res = orbit_best_approximations(xi, alpha, 100)
+    assert len(res.records) == 97
+    xi_iv, a_iv = root_of([-2, 0, 0, 1]).value_interval(400), root_of([-2, 0, 1]).value_interval(400)
+    for r in res.records:
+        m = r.matrix
+        assert abs(m.det()) == 1
+        assert r.norm == max(abs(m.c), abs(m.d))
+        true = (xi_iv - (m.a * a_iv + Fraction(m.b)) / (m.c * a_iv + Fraction(m.d))).abs()
+        assert r.distance.lo <= true.hi and true.lo <= r.distance.hi
+        assert 0 < r.distance.lo

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -47,6 +48,40 @@ class TestExpand:
         assert code == 0
         assert (rep["result"]["a0"], rep["result"]["quotients"]) == (3, [])
         assert rep["result"]["terminated"] is True
+
+    # sqrt(10^100 + 1) = [10^50; 2 10^50, 2 10^50, ...]: q_100 has over 5000
+    # digits, past the default 4300-digit limit of int <-> str (Python 3.11+)
+    BIG_QUOTIENTS = f"--poly=-{10**100 + 1},0,1"
+
+    @staticmethod
+    def run_big(capsys, *argv):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code = main(list(argv))
+        out = capsys.readouterr().out
+        if limit is None:
+            return code, json.loads(out)
+        assert sys.get_int_max_str_digits() == limit  # main restores the limit
+        sys.set_int_max_str_digits(0)
+        try:
+            return code, json.loads(out)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_expand_cache_digest_past_4300_digits(self, capsys):
+        for outcome in ("miss", "hit"):
+            code, rep = self.run_big(capsys, "expand", self.BIG_QUOTIENTS, "--depth", "100")
+            assert code == 0
+            assert rep["result"]["cache"] == outcome
+            assert rep["result"]["quotients"] == [2 * 10**50] * 100
+
+    def test_convergents_past_4300_digits(self, capsys):
+        code, rep = self.run_big(
+            capsys, "convergents", self.BIG_QUOTIENTS, "--depth", "100", "--no-cache"
+        )
+        assert code == 0
+        convs = rep["result"]["convergents"]
+        assert len(convs) == 101
+        assert convs[-1]["q"].bit_length() > 5000 * 3.32
 
     def test_digest_excludes_timestamp(self, capsys):
         _, rep1 = run(capsys, "expand", "--poly", "-3,0,1", "--depth", "5", "--no-cache")
@@ -222,6 +257,19 @@ class TestConfigAndErrors:
         assert main([*base, "--epsilon", "0"]) == 1
         assert main([*base, "--k", "0"]) == 1
         assert main([*base, "--k", "2", "--epsilon", "1/3"]) == 0
+
+    def test_orbit_scan_zero_bits(self, capsys):
+        # used to raise ValueError from refine_to, with and without --poly2
+        base = ["orbit", "--kind", "scan", "--poly=-2,0,0,1", "--height", "3"]
+        assert main([*base, "--bits", "0"]) == 1
+        assert main([*base, "--poly2=-2,0,1", "--bits", "0"]) == 1
+
+    def test_orbit_quadratic_mode_cubic_alpha(self, capsys):
+        # used to raise ValueError from quadratic_norm
+        argv = ["orbit", "--kind", "scan", "--poly=-2,0,0,1", "--poly2=-2,0,0,1",
+                "--height", "3", "--mode", "quadratic"]
+        assert main(argv) == 1
+        assert main([*argv[:-1], "classic"]) == 0
 
     def test_missing_subcommand_args(self, capsys):
         assert main(["expand"]) == 1
