@@ -280,27 +280,10 @@ def floor_of(x: AlgebraicNumber) -> int:
             x.isolating = DyadicInterval(lo, k)
 
 
-def _poly_add_scaled(acc: list[int], term: IntPolynomial, scale: int) -> None:
-    for j, c in enumerate(term.coeffs):
-        acc[j] += scale * c
-
-
 def moebius_minpoly(m: Mat2, p: IntPolynomial) -> IntPolynomial:
     """Squarefree polynomial vanishing at (a x + b)/(c x + d) for roots x of p."""
-    deg = p.degree
-    num = IntPolynomial.from_coeffs([-m.b, m.d])  # d*y - b
-    den = IntPolynomial.from_coeffs([m.a, -m.c])  # a - c*y
-    pows_num = [IntPolynomial((1,))]
-    pows_den = [IntPolynomial((1,))]
-    for _ in range(deg):
-        pows_num.append(pows_num[-1].mul(num))
-        pows_den.append(pows_den[-1].mul(den))
-    acc = [0] * (deg + 1)
-    for i, ci in enumerate(p.coeffs):
-        if ci:
-            _poly_add_scaled(acc, pows_num[i].mul(pows_den[deg - i]), ci)
-    q = IntPolynomial.from_coeffs(acc)
-    return squarefree_part(q)
+    # x = (d y - b)/(a - c y) is the inverse map
+    return squarefree_part(p.moebius(m.d, -m.b, -m.c, m.a))
 
 
 def moebius_apply(m, x: AlgebraicNumber, *, bits: int = 64) -> AlgebraicNumber:
@@ -319,6 +302,8 @@ def moebius_apply(m, x: AlgebraicNumber, *, bits: int = 64) -> AlgebraicNumber:
     work = bits
     while work <= REFINE_HARD_CAP:
         iv = x.value_interval(work)
+        if x.rational_value() is not None:
+            return moebius_apply(m, x)  # refinement landed exactly on a dyadic root
         den_iv = m.c * iv + Fraction(m.d)
         if den_iv.contains_zero():
             work *= 2

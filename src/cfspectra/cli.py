@@ -710,9 +710,16 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+# built on the first job, not at import; argparse keeps no state between
+# parse_args calls, so batch lines and later main() calls reuse it
+_PARSER: _Parser | None = None
+
+
 def _run_single(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_merge_negative_values(argv))
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(_merge_negative_values(argv))
     if args.subcommand == "batch":
         return _run_batch(args)
     cfg = resolve_config(args)
@@ -738,6 +745,8 @@ def _run_batch(args) -> int:
             jobs.append(shlex.split(line))
         except ValueError as e:
             raise InputError(f"{args.jobfile}:{i}: {e}") from None
+        if jobs[-1][:1] == ["batch"]:
+            raise InputError(f"{args.jobfile}:{i}: a batch job cannot run another batch")
     return max((main(job) for job in jobs), default=0)
 
 

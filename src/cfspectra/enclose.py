@@ -1,16 +1,24 @@
 """Transcendental enclosures (logs) bridged through mpmath interval arithmetic.
 
 Only diagnostics flow through here; all theorem checks stay in exact integer
-or rational arithmetic.
+or rational arithmetic. mpmath is imported on the first enclosure, not with
+the package, and works in a private interval context: mpmath's global
+`iv.prec` is never touched.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from mpmath import iv
+from functools import cache
 
 from .intervals import FInterval
+
+
+@cache
+def _context():
+    from mpmath.ctx_iv import MPIntervalContext
+
+    return MPIntervalContext()
 
 
 def _raw_to_fraction(raw) -> Fraction:
@@ -21,7 +29,7 @@ def _raw_to_fraction(raw) -> Fraction:
     return -val if sign else val
 
 
-def _to_iv(x, prec: int):
+def _to_iv(iv, x):
     if isinstance(x, FInterval):
         lo, hi = x.lo, x.hi
     else:
@@ -38,26 +46,20 @@ def _from_iv(v) -> FInterval:
 
 def log_enclosure(x, prec: int = 96) -> FInterval:
     """Enclosure of log(x) for x > 0 (FInterval or rational)."""
-    old = iv.prec
+    iv = _context()
     iv.prec = prec
-    try:
-        v = _to_iv(x, prec)
-        if v.a <= 0:
-            raise ValueError("log requires a positive argument")
-        return _from_iv(iv.log(v))
-    finally:
-        iv.prec = old
+    v = _to_iv(iv, x)
+    if v.a <= 0:
+        raise ValueError("log requires a positive argument")
+    return _from_iv(iv.log(v))
 
 
 def log_ratio_enclosure(num, den, prec: int = 96) -> FInterval:
     """Enclosure of log(num)/log(den); both arguments positive."""
-    old = iv.prec
+    iv = _context()
     iv.prec = prec
-    try:
-        n = _to_iv(num, prec)
-        d = _to_iv(den, prec)
-        if n.a <= 0 or d.a <= 0:
-            raise ValueError("arguments must be positive")
-        return _from_iv(iv.log(n) / iv.log(d))
-    finally:
-        iv.prec = old
+    n = _to_iv(iv, num)
+    d = _to_iv(iv, den)
+    if n.a <= 0 or d.a <= 0:
+        raise ValueError("arguments must be positive")
+    return _from_iv(iv.log(n) / iv.log(d))

@@ -17,6 +17,11 @@ def _strip(coeffs: list[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _times_linear(coeffs: list[int], a: int, b: int) -> list[int]:
+    """coeffs * (a x + b), lowest degree first."""
+    return [b * u + a * v for u, v in zip(coeffs + [0], [0] + coeffs)]
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """Primitive integer polynomial, coefficients lowest degree first."""
@@ -80,18 +85,18 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
 
-    def shift_taylor(self, a: int) -> "IntPolynomial":
-        """p(x + a) by repeated synthetic division; exact for integer a."""
-        c = list(self.coeffs)
-        n = len(c)
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                c[j] += a * c[j + 1]
-        return IntPolynomial(tuple(c))
-
-    def reverse(self) -> "IntPolynomial":
-        """x^deg * p(1/x); trailing zeros of p become leading and are stripped."""
-        return IntPolynomial(_strip(list(reversed(self.coeffs))) or (0,))
+    def moebius(self, a: int, b: int, c: int, d: int) -> "IntPolynomial":
+        """Sum of c_i (a x + b)^i (c x + d)^(deg - i), that is
+        (c x + d)^deg p((a x + b)/(c x + d)), by homogeneous Horner."""
+        acc = [self.coeffs[-1]]
+        power = [1]  # (c x + d)^k after k steps
+        for ci in reversed(self.coeffs[:-1]):
+            acc = _times_linear(acc, a, b)
+            power = _times_linear(power, c, d)
+            if ci:
+                for j, pj in enumerate(power):
+                    acc[j] += ci * pj
+        return IntPolynomial(_strip(acc) or (0,))
 
     def mul(self, other: "IntPolynomial") -> "IntPolynomial":
         out = [0] * (self.degree + other.degree + 1)
@@ -103,54 +108,59 @@ class IntPolynomial:
         return IntPolynomial(_strip(out) or (0,))
 
 
-def _divmod_q(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of polynomial division over Q (lists lowest first)."""
-    rem = num[:]
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    for shift in range(len(quot) - 1, -1, -1):
-        quot[shift] = rem[shift + len(den) - 1] / den[-1]
-        for i, c in enumerate(den):
-            rem[shift + i] -= quot[shift] * c
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def _primitive_from_q(coeffs: list[Fraction]) -> IntPolynomial:
-    """Clear denominators and take the primitive part."""
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return IntPolynomial(_strip([int(c * den) for c in coeffs]) or (0,)).primitive()
+def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """A pseudo-remainder of a by nonzero b over Z: a nonzero integer multiple
+    of the remainder over Q (lists lowest degree first)."""
+    r = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(r) > db:
+        lr, shift = r[-1], len(r) - 1 - db
+        r = [lb * c for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= lr * c
+        while r and r[-1] == 0:
+            r.pop()
+    return tuple(r)
 
 
 def poly_gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd over Z via the Euclidean algorithm over Q."""
-    a = [Fraction(c) for c in p.coeffs]
-    b = [Fraction(c) for c in q.coeffs]
-    if not any(a):
+    """Primitive gcd over Z by the primitive pseudo-remainder sequence (Knuth,
+    TAOCP vol. 2, 4.6.1; Collins, J. ACM 1967)."""
+    if not any(p.coeffs):
         return q.primitive()
-    if not any(b):
+    if not any(q.coeffs):
         return p.primitive()
+    a, b = p, q
     while True:
-        _, r = _divmod_q(a, b)
+        r = _prem(a.coeffs, b.coeffs)
         if not r:
-            break
-        a, b = b, r
-    return _primitive_from_q(b)
+            return b.primitive()
+        a, b = b, IntPolynomial(r).primitive()
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p with repeated factors removed (p / gcd(p, p'))."""
+    """p with repeated factors removed (p / gcd(p, p')).
+
+    The gcd is primitive, so by Gauss's lemma the quotient is integral and
+    long division over Z is exact.
+    """
     if p.degree == 0:
         return p.primitive()
     g = poly_gcd(p, p.derivative())
     if g.degree == 0:
         return p.primitive()
-    quot, rem = _divmod_q([Fraction(c) for c in p.coeffs], [Fraction(c) for c in g.coeffs])
-    if rem:
+    rem = list(p.coeffs)
+    quot = [0] * (p.degree - g.degree + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[shift + g.degree], g.leading)
+        if r:
+            raise ValueError("division is not exact")
+        quot[shift] = c
+        for i, gc in enumerate(g.coeffs):
+            rem[shift + i] -= c * gc
+    if any(rem):
         raise ValueError("division is not exact")
-    return _primitive_from_q(quot)
+    return IntPolynomial(tuple(quot)).primitive()
 
 
 def sign_variations(coeffs) -> int:
@@ -165,55 +175,36 @@ def sign_variations(coeffs) -> int:
     return count
 
 
-def transform_to_unit(p: IntPolynomial, a: Fraction, b: Fraction) -> IntPolynomial:
-    """Integer polynomial whose roots in (0,1) correspond to roots of p in (a,b)."""
-    # substitute x -> a + (b-a) x and clear denominators
-    d = p.degree
-    u, v = a.numerator, a.denominator
-    w = b - a
-    wu, wv = w.numerator, w.denominator
-    den = v * wv
-    # p(a + w x) * den^d: expand via Horner in the new variable
-    # coefficients are Fractions first, then cleared (den is the common denominator)
-    acc = [Fraction(p.coeffs[d])]
-    for i in range(d - 1, -1, -1):
-        # acc = acc * (a + w x) + c_i
-        new = [Fraction(0)] * (len(acc) + 1)
-        for j, c in enumerate(acc):
-            new[j] += c * a
-            new[j + 1] += c * w
-        new[0] += p.coeffs[i]
-        acc = new
-    common = 1
-    for c in acc:
-        common = common * c.denominator // gcd(common, c.denominator)
-    return IntPolynomial(_strip([int(c * common) for c in acc]) or (0,))
-
-
 def isolating_intervals(p: IntPolynomial, a: Fraction, b: Fraction):
     """Yield disjoint subintervals of (a, b), each holding exactly one root of
     squarefree p, covering every root in (a, b); a and b must not be roots.
 
     Descartes counts drive the bisection; a count of 0 or 1 is exact.
+    Endpoints are carried as integer numerators over a common denominator.
     """
-    stack = [(a, b)]
+    den = a.denominator * b.denominator
+    stack = [(a.numerator * b.denominator, b.numerator * a.denominator, den)]
     while stack:
-        lo, hi = stack.pop()
-        v = sign_variations(transform_to_unit(p, lo, hi).reverse().shift_taylor(1).coeffs)
+        lo, hi, den = stack.pop()
+        # the roots in (lo, hi)/den are the positive roots of
+        # p((hi*x + lo) / (den*(x + 1)))
+        v = sign_variations(p.moebius(hi, lo, den, den).coeffs)
         if v == 0:
             continue
         if v == 1:
-            yield lo, hi
+            yield Fraction(lo, den), Fraction(hi, den)
             continue
-        mid = (lo + hi) / 2
-        if p.sign_at(mid) == 0:
-            # split just past the exact root so both halves keep non-root endpoints
-            delta = (hi - lo) / 4
-            while p.sign_at(mid + delta) == 0:
-                delta /= 2
-            mid = mid + delta
-        stack.append((lo, mid))
-        stack.append((mid, hi))
+        lo, mid, hi, den = 2 * lo, lo + hi, 2 * hi, 2 * den
+        if p.sign_at(Fraction(mid, den)) == 0:
+            # split just past the exact root so both halves keep non-root
+            # endpoints: try mid + (hi - lo)/4, halving the step on a root
+            delta = hi - lo
+            lo, mid, hi, den = 4 * lo, 4 * mid, 4 * hi, 4 * den
+            while p.sign_at(Fraction(mid + delta, den)) == 0:
+                lo, mid, hi, den = 2 * lo, 2 * mid, 2 * hi, 2 * den
+            mid += delta
+        stack.append((lo, mid, den))
+        stack.append((mid, hi, den))
 
 
 def count_roots_in(p: IntPolynomial, a: Fraction, b: Fraction) -> int:

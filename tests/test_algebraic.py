@@ -115,6 +115,13 @@ class TestMoebius:
         back = moebius_apply(m.adjugate(), y)
         assert alg_equal(back, sqrt2)
 
+    def test_apply_to_root_found_exactly_dyadic(self):
+        # the root 1 of x^2 - 1 refines to the single point [1, 1]; its image
+        # 2 is then a root at both ends of the image interval
+        one = root_of([-1, 0, 1])
+        y = moebius_apply(Mat2(1, 1, 0, 1), one)
+        assert y.rational_value() == 2
+
     def test_apply_value(self, golden):
         # 1/x of the golden ratio is the golden ratio minus 1
         y = moebius_apply(Mat2(0, 1, 1, 0), golden)

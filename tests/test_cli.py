@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from cfspectra import cli
 from cfspectra.cli import main
 
 
@@ -285,3 +289,69 @@ class TestConfigAndErrors:
         assert main(["batch", str(jobs)]) == 0
         assert json.loads(out1.read_text())["result"]["quotients"] == [2] * 5
         assert json.loads(out2.read_text())["result"]["period"] == [1, 1, 1, 4]
+
+    def test_batch_rejects_nested_batch(self, capsys, tmp_path):
+        jobs = tmp_path / "jobs.txt"
+        out = tmp_path / "r.json"
+        jobs.write_text(f"expand --poly -2,0,1 --depth 5 --output {out}\nbatch {jobs}\n")
+        assert main(["batch", str(jobs)]) == 1
+        assert f"{jobs}:2:" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any job ran
+
+
+EXPAND = ["expand", "--poly=-2,0,0,1", "--depth", "40", "--no-cache"]
+DETECT = ["detect", "--kind", "shared", "--poly=-2,0,0,1", "--poly2=-3,0,0,1",
+          "--depth", "60", "--L", "3", "--mirror", "--no-cache"]
+BAD = ["expand", "--poly=-2,0,1", "--depth", "x"]
+
+
+def _python(*args):
+    """A fresh interpreter that imports this checkout's cfspectra."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def _fresh_process(argv):
+    proc = _python("-m", "cfspectra.cli", *argv)
+    return proc.returncode, proc.stdout
+
+
+class TestOneParserPerProcess:
+    @pytest.mark.parametrize("first,second", [(EXPAND, DETECT), (DETECT, EXPAND)])
+    def test_jobs_in_one_process_match_fresh_processes(self, capsys, first, second):
+        fresh = {}
+        for argv in (first, second):
+            code, out = _fresh_process(argv)
+            assert code == 0
+            fresh[argv[0]] = json.loads(out)["digest"]
+        assert _fresh_process(BAD)[0] == 1
+        digests = []
+        for argv in (first, second, BAD, first):
+            code, rep = run(capsys, *argv)
+            if argv is BAD:
+                assert code == 1
+                continue
+            assert code == 0
+            digests.append((argv[0], rep["digest"]))
+        assert digests == [(a[0], fresh[a[0]]) for a in (first, second, first)]
+
+    def test_parser_keeps_no_state(self, capsys):
+        assert main(EXPAND) == 0
+        parser = cli._PARSER
+        for _ in range(2):
+            with pytest.raises(cli.InputError, match="invalid int value: 'x'"):
+                parser.parse_args(BAD)
+        shared = parser.parse_args(["detect", "--kind", "shared", "--L", "3", "--mirror", "--word", "w"])
+        plain = parser.parse_args(["detect", "--kind", "repetition", "--word", "w"])
+        assert (shared.L, shared.mirror) == ("3", True)
+        assert (plain.L, plain.mirror) == (None, None)
+        assert main(EXPAND) == 0
+        assert cli._PARSER is parser
+
+    def test_import_does_no_work(self):
+        code = ("import sys; import cfspectra.cli as cli; "
+                "assert 'mpmath' not in sys.modules, 'mpmath imported'; "
+                "assert cli._PARSER is None, 'parser built at import'")
+        proc = _python("-c", code)
+        assert proc.returncode == 0, proc.stderr

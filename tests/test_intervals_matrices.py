@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
@@ -110,3 +111,29 @@ class TestLogEnclosures:
     def test_log_ratio_tightness(self):
         enc = log_ratio_enclosure(Fraction(10), Fraction(2))
         assert enc.width < Fraction(1, 2**60)
+
+    def test_global_interval_precision_untouched(self, monkeypatch):
+        monkeypatch.setattr(mpmath.iv, "prec", 53)
+        enc = log_ratio_enclosure(Fraction(10), Fraction(2))
+        assert mpmath.iv.prec == 53
+        assert enc.width < Fraction(1, 2**60)  # computed at 96 bits all the same
+
+    @pytest.mark.parametrize("prec", [53, 96, 200])
+    def test_equal_to_global_context_enclosures(self, monkeypatch, prec):
+        # the enclosures the global `mpmath.iv` context gives at the same precision
+        def to_iv(x):
+            lo, hi = (x.lo, x.hi) if isinstance(x, FInterval) else (Fraction(x),) * 2
+            a = mpmath.iv.mpf(lo.numerator) / mpmath.iv.mpf(lo.denominator)
+            b = mpmath.iv.mpf(hi.numerator) / mpmath.iv.mpf(hi.denominator)
+            return mpmath.iv.mpf([a.a, b.b])
+
+        def to_finterval(v):
+            return FInterval(*(Fraction(*mpmath.libmp.to_rational(end)) for end in v._mpi_))
+
+        monkeypatch.setattr(mpmath.iv, "prec", prec)
+        for x in [Fraction(2), Fraction(1, 3), Fraction(10, 7), 5, iv(2, 4)]:
+            want = to_finterval(mpmath.iv.log(to_iv(x)))
+            assert log_enclosure(x, prec) == want
+        for num, den in [(8, 2), (10, 2), (iv(1000, 1001), Fraction(7, 3))]:
+            want = to_finterval(mpmath.iv.log(to_iv(num)) / mpmath.iv.log(to_iv(den)))
+            assert log_ratio_enclosure(num, den, prec) == want
