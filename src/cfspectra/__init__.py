@@ -9,7 +9,6 @@ from .algebraic import (
     AlgebraicNumber,
     DyadicInterval,
     alg_equal,
-    floor_of,
     isolate_real_roots,
     moebius_apply,
     moebius_minpoly,
@@ -53,10 +52,7 @@ from .orbit import (
     complete_unimodular,
     enumerate_bottom_rows,
     growth_gap_scan,
-    norm_equivalence_estimate,
-    norm_of,
     orbit_best_approximations,
-    psl2z_normalize,
     quadratic_norm,
     separation_bound,
 )
@@ -64,7 +60,6 @@ from .polynomials import IntPolynomial, count_roots_in, squarefree_part
 from .words import (
     RepetitionWitness,
     SharedBlockWitness,
-    cycle_mirror_shift,
     find_mirror_repetitions,
     find_repetitions,
     find_shared_blocks,
@@ -104,7 +99,6 @@ __all__ = [
     "complete_unimodular",
     "convergents",
     "count_roots_in",
-    "cycle_mirror_shift",
     "delta_from_L",
     "detect_period",
     "enumerate_bottom_rows",
@@ -113,7 +107,6 @@ __all__ = [
     "find_mirror_repetitions",
     "find_repetitions",
     "find_shared_blocks",
-    "floor_of",
     "growth_gap_scan",
     "growth_metrics",
     "integer_nth_root",
@@ -124,12 +117,9 @@ __all__ = [
     "mirror_quadruple",
     "moebius_apply",
     "moebius_minpoly",
-    "norm_equivalence_estimate",
-    "norm_of",
     "normalize_witness",
     "orbit_best_approximations",
     "phi_vector",
-    "psl2z_normalize",
     "quadratic_conjugate",
     "quadratic_norm",
     "same_tail_offset",

@@ -253,33 +253,6 @@ def isolate_real_roots(p) -> list[AlgebraicNumber]:
     return [AlgebraicNumber(p, DyadicInterval(lo, hi)) for lo, hi in intervals]
 
 
-def floor_of(x: AlgebraicNumber) -> int:
-    """Certified floor; exact sign tests settle integer boundary points."""
-    rat = x.rational_value()
-    if rat is not None:
-        return floor(rat)
-    while True:
-        lo, hi = x.isolating.lo, x.isolating.hi
-        flo, fhi = floor(lo), floor(hi)
-        if flo == fhi:
-            return flo
-        k = Fraction(flo + 1)  # lo < k <= hi
-        s = x.minpoly.sign_at(k)
-        if s == 0:
-            # the isolated root is exactly this integer
-            x.isolating = DyadicInterval(k, k)
-            x._sign_lo = None
-            return flo + 1
-        if k == hi:
-            # root lies strictly below hi, so no integer is inside
-            return flo
-        if s == x._endpoint_sign():
-            x.isolating = DyadicInterval(k, hi)
-            x._sign_lo = s
-        else:
-            x.isolating = DyadicInterval(lo, k)
-
-
 def moebius_minpoly(m: Mat2, p: IntPolynomial) -> IntPolynomial:
     """Squarefree polynomial vanishing at (a x + b)/(c x + d) for roots x of p."""
     # x = (d y - b)/(a - c y) is the inverse map

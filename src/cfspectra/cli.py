@@ -13,6 +13,7 @@ import json
 import os
 import shlex
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +49,13 @@ class InputError(ValueError):
 
 # ---------------------------------------------------------------- parsing
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"{path}: {e}") from None
+
+
 def parse_poly(text: str, where: str = "--poly") -> IntPolynomial:
     """Comma-separated integer coefficients, constant term first."""
     try:
@@ -60,11 +68,7 @@ def parse_poly(text: str, where: str = "--poly") -> IntPolynomial:
 
 
 def load_poly_file(path: str) -> IntPolynomial:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as e:
-        raise InputError(f"{path}: {e}") from None
-    for i, line in enumerate(lines, 1):
+    for i, line in enumerate(_read(path).splitlines(), 1):
         if line.strip() and not line.lstrip().startswith("#"):
             return parse_poly(line, where=f"{path}:{i}")
     raise InputError(f"{path}: no polynomial found")
@@ -72,17 +76,14 @@ def load_poly_file(path: str) -> IntPolynomial:
 
 def load_word_file(path: str) -> tuple[int, list[int]]:
     """JSON {"a0": ..., "quotients": [...]} or newline integers (a0 first)."""
-    try:
-        text = Path(path).read_text()
-    except OSError as e:
-        raise InputError(f"{path}: {e}") from None
+    text = _read(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
             a0 = int(data["a0"])
             qs = [int(a) for a in data["quotients"]]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as e:
             raise InputError(f"{path}:1: malformed word JSON: {e}") from None
         bad = next((a for a in qs if a < 1), None)
         if bad is not None:
@@ -111,15 +112,11 @@ def parse_word_inline(text: str, where: str) -> tuple[int, ...]:
         raise InputError(f"{where}: malformed word {text!r}: {e}") from None
 
 
-def _fraction(text, where: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"{where}: not a rational: {text!r} ({e})") from None
-
-
 def _positive_fraction(text, where: str) -> Fraction:
-    value = _fraction(text, where)
+    try:
+        value = Fraction(text)
+    except (ValueError, TypeError, ArithmeticError) as e:
+        raise InputError(f"{where}: not a rational: {text!r} ({e})") from None
     if value <= 0:
         raise InputError(f"{where}: must be positive, got {text!r}")
     return value
@@ -191,19 +188,23 @@ def cached_expand(x: AlgebraicNumber, depth: int, root_index: int, use_cache: bo
 
 # ---------------------------------------------------------------- reports
 
-def make_report(config: dict, result) -> dict:
-    body = {
-        "tool": "cfspectra",
-        "version": __version__,
-        "config": config,
-        "result": result,
-    }
-    digest = hashlib.sha256(
-        json.dumps(body, sort_keys=True, default=str).encode()
-    ).hexdigest()
-    body["digest"] = digest
-    body["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return body
+@dataclass(frozen=True)
+class Report:
+    result: object
+    text: str  # the whole report as `--format json` writes it
+
+
+def make_report(config: dict, result) -> Report:
+    """Encode the body once, with sorted keys. The digest hashes exactly those
+    bytes; the digest and a timestamp follow them in the same object."""
+    body = json.dumps(
+        {"tool": "cfspectra", "version": __version__, "config": config, "result": result},
+        sort_keys=True,
+        default=str,
+    )
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    stamp = datetime.now(timezone.utc).isoformat()
+    return Report(result, f'{body[:-1]}, "digest": "{digest}", "timestamp": "{stamp}"}}\n')
 
 
 def _rows_for_csv(result) -> list[dict]:
@@ -221,121 +222,54 @@ def _rows_for_csv(result) -> list[dict]:
     return [{"value": json.dumps(result, default=str)}]
 
 
-def emit(report: dict, output: str | None, fmt: str) -> None:
-    if fmt == "json":
-        text = json.dumps(report, indent=2, default=str) + "\n"
-    elif fmt == "csv":
-        rows = _rows_for_csv(report["result"])
-        buf = io.StringIO()
-        fieldnames = sorted({k for row in rows for k in row})
-        writer = csv.DictWriter(buf, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: json.dumps(v, default=str) if isinstance(v, (list, dict)) else v for k, v in row.items()})
-        text = buf.getvalue()
-    else:
-        raise InputError(f"unknown output format {fmt!r}")
+def _csv_text(result) -> str:
+    rows = _rows_for_csv(result)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=sorted({k for row in rows for k in row}))
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({
+            k: json.dumps(v, default=str) if isinstance(v, (list, dict)) else v
+            for k, v in row.items()
+        })
+    return buf.getvalue()
+
+
+def emit(report: Report, output: str | None, fmt: str) -> None:
+    text = report.text if fmt == "json" else _csv_text(report.result)
     if output:
         Path(output).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-# ---------------------------------------------------------------- config
-
-DEFAULTS = {
-    "depth": 200,
-    "bits": 256,
-    "L": "2",
-    "delta": "1/10",
-    "min_b": 1,
-    "height": 100,
-    "epsilon": "1/2",
-    "root_index": -1,
-    "root_index2": -1,
-    "format": "json",
-    "mode": "classic",
-    "min_norm": 2,
-    "max_n": 10,
-    "k": 1,
-    "l": 1,
-    "m": 1,
-    "no_cache": False,
-    "mirror": False,
-}
-
-_INT_KEYS = {
-    "depth", "bits", "min_b", "height", "root_index", "root_index2",
-    "min_norm", "max_n", "k", "l", "m",
-}
-_BOOL_KEYS = {"no_cache", "mirror"}
-
-
-def load_config_file(path: str) -> dict:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as e:
-        raise InputError(f"{path}: {e}") from None
-    out = {}
-    for i, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise InputError(f"{path}:{i}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in DEFAULTS:
-            raise InputError(f"{path}:{i}: unknown config key {key!r}")
-        if key in _INT_KEYS:
-            try:
-                out[key] = int(value)
-            except ValueError:
-                raise InputError(f"{path}:{i}: {key} must be an integer") from None
-        elif key in _BOOL_KEYS:
-            out[key] = value.lower() in ("1", "true", "yes")
-        else:
-            out[key] = value
-    return out
-
-
-def resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(load_config_file(args.config))
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None and val is not False:
-            cfg[key] = val
-    for key in ("depth", "bits", "min_b", "height", "min_norm", "max_n"):
-        if int(cfg[key]) < 0 or (key in ("min_b", "height") and int(cfg[key]) < 1):
-            raise InputError(f"{key} must be positive")
-    return cfg
-
-
 # ---------------------------------------------------------------- handlers
+# A handler's docstring is its subcommand's help line. Its cfg holds every
+# config key, typed and already checked by resolve_config.
 
-def _poly_arg(args, cfg, flag="poly", file_flag="poly_file") -> IntPolynomial:
-    text = getattr(args, flag, None)
-    path = getattr(args, file_flag, None)
+def _poly_arg(args, flag: str = "poly") -> IntPolynomial:
+    text, path = getattr(args, flag), getattr(args, f"{flag}_file")
     if text:
-        return parse_poly(text, where=f"--{flag.replace('_', '-')}")
+        return parse_poly(text, where=f"--{flag}")
     if path:
         return load_poly_file(path)
-    raise InputError(f"one of --{flag.replace('_', '-')} or --{file_flag.replace('_', '-')} is required")
+    raise InputError(f"one of --{flag} or --{flag}-file is required")
 
 
-def _expansion_from_args(args, cfg, *, poly_flag="poly", file_flag="poly_file",
-                         index_key="root_index"):
-    poly = _poly_arg(args, cfg, poly_flag, file_flag)
-    x = select_root(poly, int(cfg[index_key]))
-    cf, cache_state = cached_expand(x, int(cfg["depth"]), int(cfg[index_key]), not cfg["no_cache"])
-    return x, cf, cache_state
+def _root(args, cfg, n: str = "") -> AlgebraicNumber:
+    """The selected real root of --poly (n="") or of --poly2 (n="2")."""
+    return select_root(_poly_arg(args, "poly" + n), cfg["root_index" + n])
+
+
+def _expansion(args, cfg, n: str = ""):
+    """(expansion, cache state) of _root(args, cfg, n) to --depth."""
+    x = _root(args, cfg, n)
+    return cached_expand(x, cfg["depth"], cfg["root_index" + n], not cfg["no_cache"])
 
 
 def cmd_expand(args, cfg) -> dict:
-    _, cf, cache_state = _expansion_from_args(args, cfg)
+    """certified partial quotients"""
+    cf, cache_state = _expansion(args, cfg)
     return {
         "a0": cf.a0,
         "quotients": cf.quotients,
@@ -345,19 +279,15 @@ def cmd_expand(args, cfg) -> dict:
 
 
 def cmd_convergents(args, cfg) -> dict:
-    if args.word:
-        a0, qs = load_word_file(args.word)
-        cf = CFExpansion(a0, qs)
-    else:
-        _, cf, _ = _expansion_from_args(args, cfg)
+    """convergent table"""
+    cf = CFExpansion(*load_word_file(args.word)) if args.word else _expansion(args, cfg)[0]
     return {"convergents": [{"n": n, "p": p, "q": q} for n, (p, q) in enumerate(convergents(cf))]}
 
 
 def cmd_period(args, cfg) -> dict:
-    poly = _poly_arg(args, cfg)
-    x = select_root(poly, int(cfg["root_index"]))
+    """quadratic period detection"""
     try:
-        form = detect_period(x)
+        form = detect_period(_root(args, cfg))
     except ValueError as e:
         raise InputError(str(e)) from None
     return {"preperiod": list(form.preperiod), "period": list(form.period)}
@@ -365,15 +295,14 @@ def cmd_period(args, cfg) -> dict:
 
 def _word_for_detectors(args, cfg) -> tuple[int, ...]:
     if args.word:
-        _, qs = load_word_file(args.word)
-        return tuple(qs)
-    _, cf, _ = _expansion_from_args(args, cfg)
-    return cf.quotients if isinstance(cf.quotients, tuple) else tuple(cf.quotients)
+        return tuple(load_word_file(args.word)[1])
+    return tuple(_expansion(args, cfg)[0].quotients)
 
 
 def cmd_complexity(args, cfg) -> dict:
+    """subword complexity profile"""
     w = _word_for_detectors(args, cfg)
-    max_n = min(int(cfg["max_n"]), len(w))
+    max_n = min(cfg["max_n"], len(w))
     return {
         "length": len(w),
         "complexity": [{"n": n, "p": subword_complexity(w, n)} for n in range(1, max_n + 1)],
@@ -381,51 +310,46 @@ def cmd_complexity(args, cfg) -> dict:
 
 
 def cmd_detect(args, cfg) -> dict:
-    L = _positive_fraction(cfg["L"], "--L")
-    min_b = int(cfg["min_b"])
-    if args.kind in ("repetition", "mirror"):
-        w = _word_for_detectors(args, cfg)
-        finder = find_repetitions if args.kind == "repetition" else find_mirror_repetitions
-        wits = finder(w, L, min_b)
-    elif args.kind == "shared":
+    """repetition / mirror / shared-block detectors"""
+    L, min_b = Fraction(cfg["L"]), cfg["min_b"]
+    if args.kind == "shared":
         if not args.word2 and not (args.poly2 or args.poly2_file):
             raise InputError("shared detection needs --word2 or --poly2")
         w = _word_for_detectors(args, cfg)
         if args.word2:
-            _, qs2 = load_word_file(args.word2)
-            w2 = tuple(qs2)
+            w2 = tuple(load_word_file(args.word2)[1])
         else:
-            poly2 = _poly_arg(args, cfg, "poly2", "poly2_file")
-            x2 = select_root(poly2, int(cfg["root_index2"]))
-            cf2, _ = cached_expand(x2, int(cfg["depth"]), int(cfg["root_index2"]), not cfg["no_cache"])
-            w2 = tuple(cf2.quotients)
-        wits = find_shared_blocks(w, w2, L, min_b, mirror=bool(cfg["mirror"]))
+            w2 = tuple(_expansion(args, cfg, "2")[0].quotients)
+        wits = find_shared_blocks(w, w2, L, min_b, mirror=cfg["mirror"])
     else:
-        raise InputError(f"unknown detect kind {args.kind!r}")
+        finder = find_repetitions if args.kind == "repetition" else find_mirror_repetitions
+        wits = finder(_word_for_detectors(args, cfg), L, min_b)
     return {"witnesses": [wt.to_dict() for wt in wits]}
 
 
 def cmd_verify(args, cfg) -> dict:
-    _, cf, _ = _expansion_from_args(args, cfg)
-    report = verify_cf_identities(cf, int(cfg["depth"]))
-    return report.to_dict()
+    """classical identity suite on one expansion"""
+    cf, _ = _expansion(args, cfg)
+    return verify_cf_identities(cf, cfg["depth"]).to_dict()
 
 
-def _pair_context(args, cfg) -> PairContext:
-    poly = _poly_arg(args, cfg)
-    poly2 = _poly_arg(args, cfg, "poly2", "poly2_file")
-    x = select_root(poly, int(cfg["root_index"]))
-    x2 = select_root(poly2, int(cfg["root_index2"]))
-    depth = int(cfg["depth"])
-    cf, _ = cached_expand(x, depth, int(cfg["root_index"]), not cfg["no_cache"])
-    cf2, _ = cached_expand(x2, depth, int(cfg["root_index2"]), not cfg["no_cache"])
+def _pair_context(cfg, x: AlgebraicNumber, x2: AlgebraicNumber, depth: int) -> PairContext:
+    cf, _ = cached_expand(x, depth, cfg["root_index"], not cfg["no_cache"])
+    cf2, _ = cached_expand(x2, depth, cfg["root_index2"], not cfg["no_cache"])
     return PairContext(x, x2, cf, cf2)
+
+
+def _flag_pair(args, cfg) -> PairContext:
+    return _pair_context(cfg, _root(args, cfg), _root(args, cfg, "2"), cfg["depth"])
 
 
 def _require_witness_depth(ctx: PairContext, wt: SharedBlockWitness) -> None:
     """Witness offsets must lie inside both expansions (convergent k+m, l+m)."""
-    if min(wt.k, wt.l, wt.m) < 0:
-        raise InputError(f"witness k={wt.k}, l={wt.l}, m={wt.m} has a negative entry")
+    if min(wt.k, wt.l) < 0 or wt.m < 1:
+        raise InputError(
+            f"witness k={wt.k}, l={wt.l}, m={wt.m}: k and l must not be negative, "
+            "and m must be positive"
+        )
     if wt.k + wt.m > ctx.cf.depth or wt.l + wt.m > ctx.cf2.depth:
         need = max(wt.k, wt.l) + wt.m
         raise InputError(
@@ -434,131 +358,114 @@ def _require_witness_depth(ctx: PairContext, wt: SharedBlockWitness) -> None:
         )
 
 
+def _l1_fields(ctx: PairContext, wt: SharedBlockWitness, cfg):
+    rep = l1_smallness_report(ctx, wt, bits=cfg["bits"])
+    return rep, {
+        "premise_ok": rep.premise_ok,
+        "enclosure": [str(rep.enclosure.lo), str(rep.enclosure.hi)],
+        "bound": str(rep.bound),
+    }
+
+
 def _harness_job(args, cfg) -> dict:
     """Witness batch: {"alpha": coeffs, "alpha_prime": coeffs, "depth": int,
     "witnesses": [{k,l,m,mirror}...]} or "auto": {"L":…, "minB":…, "mirror":…}.
     """
+    path = args.job
     try:
-        data = json.loads(Path(args.job).read_text())
-    except OSError as e:
-        raise InputError(f"{args.job}: {e}") from None
+        data = json.loads(_read(path))
     except json.JSONDecodeError as e:
-        raise InputError(f"{args.job}:{e.lineno}: malformed JSON: {e.msg}") from None
+        raise InputError(f"{path}:{e.lineno}: malformed JSON: {e.msg}") from None
     try:
         poly = IntPolynomial.from_coeffs([int(c) for c in data["alpha"]])
         poly2 = IntPolynomial.from_coeffs([int(c) for c in data["alpha_prime"]])
         depth = int(data.get("depth", cfg["depth"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"{args.job}: bad job fields: {e}") from None
-    x = select_root(poly, int(cfg["root_index"]))
-    x2 = select_root(poly2, int(cfg["root_index2"]))
-    cf, _ = cached_expand(x, depth, int(cfg["root_index"]), not cfg["no_cache"])
-    cf2, _ = cached_expand(x2, depth, int(cfg["root_index2"]), not cfg["no_cache"])
-    ctx = PairContext(x, x2, cf, cf2)
-    if "witnesses" in data:
-        wits = [
-            SharedBlockWitness(int(w["k"]), int(w["l"]), int(w["m"]), bool(w.get("mirror", False)))
-            for w in data["witnesses"]
-        ]
-    elif "auto" in data:
-        auto = data["auto"]
-        min_b = int(auto.get("minB", cfg["min_b"]))
+        if "witnesses" in data:
+            wits = [
+                SharedBlockWitness(
+                    int(w["k"]), int(w["l"]), int(w["m"]), bool(w.get("mirror", False))
+                )
+                for w in data["witnesses"]
+            ]
+        elif "auto" in data:
+            auto = data["auto"]
+            min_b = int(auto.get("minB", cfg["min_b"]))
+            auto_L, auto_mirror = auto.get("L", cfg["L"]), bool(auto.get("mirror", False))
+    except (LookupError, TypeError, ValueError, AttributeError, OverflowError) as e:
+        raise InputError(f"{path}: bad job fields: {e}") from None
+    if "witnesses" not in data and "auto" not in data:
+        raise InputError(f"{path}: need 'witnesses' or 'auto'")
+    if depth < 0:
+        raise InputError(f"{path}: depth must be >= 0")
+    x, x2 = select_root(poly, cfg["root_index"]), select_root(poly2, cfg["root_index2"])
+    ctx = _pair_context(cfg, x, x2, depth)
+    if "witnesses" not in data:
         if min_b < 1:
-            raise InputError(f"{args.job}: auto.minB must be >= 1")
+            raise InputError(f"{path}: auto.minB must be >= 1")
+        L = _positive_fraction(auto_L, "auto.L")
         wits = find_shared_blocks(
-            cf.quotients,
-            cf2.quotients,
-            _positive_fraction(auto.get("L", cfg["L"]), "auto.L"),
-            min_b,
-            mirror=bool(auto.get("mirror", False)),
+            ctx.cf.quotients, ctx.cf2.quotients, L, min_b, mirror=auto_mirror
         )
-    else:
-        raise InputError(f"{args.job}: need 'witnesses' or 'auto'")
-    delta = _positive_fraction(cfg["delta"], "--delta")
-    L = _positive_fraction(cfg["L"], "--L")
     rows = []
     undecided = 0
     for wt in wits:
         _require_witness_depth(ctx, wt)
         row = wt.to_dict()
-        row["growth_holds"] = check_growth_condition(ctx, wt, delta, L)
+        row["growth_holds"] = check_growth_condition(ctx, wt, cfg["delta"], cfg["L"])
         if wt.mirror:
             row["l1_holds"] = None
         else:
-            rep = l1_smallness_report(ctx, wt, bits=int(cfg["bits"]))
+            rep, fields = _l1_fields(ctx, wt, cfg)
             row["l1_holds"] = rep.holds
-            row["premise_ok"] = rep.premise_ok
-            row["enclosure"] = [str(rep.enclosure.lo), str(rep.enclosure.hi)]
-            row["bound"] = str(rep.bound)
-            if rep.holds is None:
-                undecided += 1
+            row.update(fields)
+            undecided += rep.holds is None
         rows.append(row)
     return {"witnesses": rows, "undecided": undecided}
 
 
 def cmd_harness(args, cfg) -> dict:
-    if getattr(args, "job", None):
+    """transport / L1-smallness / growth checks"""
+    if args.job:
         return _harness_job(args, cfg)
     if not args.kind:
         raise InputError("harness needs --kind or --job")
     if args.kind == "transport":
-        a = parse_word_inline(args.prefix, "--prefix")
-        a2 = parse_word_inline(args.prefix2, "--prefix2")
-        b = parse_word_inline(args.block, "--block")
-        holds = check_transport_identity(a, a2, b, mirror=bool(cfg["mirror"]))
+        flags = ("prefix", "prefix2", "block")
+        missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+        if missing:
+            raise InputError(f"harness --kind transport needs {', '.join(missing)}")
+        a, a2, b = (parse_word_inline(getattr(args, f), f"--{f}") for f in flags)
+        holds = check_transport_identity(a, a2, b, mirror=cfg["mirror"])
         return {"identity": "mirror" if cfg["mirror"] else "plain", "holds": holds}
-    ctx = _pair_context(args, cfg)
-    wt = SharedBlockWitness(int(cfg["k"]), int(cfg["l"]), int(cfg["m"]))
+    ctx = _flag_pair(args, cfg)
+    wt = SharedBlockWitness(cfg["k"], cfg["l"], cfg["m"])
     _require_witness_depth(ctx, wt)
-    if args.kind == "l1":
-        rep = l1_smallness_report(ctx, wt, bits=int(cfg["bits"]))
-        if rep.holds is None:
-            raise PrecisionExhausted("L1 smallness undecided at precision cap", rep.enclosure)
-        return {
-            "holds": rep.holds,
-            "premise_ok": rep.premise_ok,
-            "enclosure": [str(rep.enclosure.lo), str(rep.enclosure.hi)],
-            "bound": str(rep.bound),
-            "bits_used": rep.bits_used,
-        }
     if args.kind == "growth":
-        delta = _positive_fraction(cfg["delta"], "--delta")
-        L = _positive_fraction(cfg["L"], "--L")
-        return {"holds": check_growth_condition(ctx, wt, delta, L)}
-    raise InputError(f"unknown harness kind {args.kind!r}")
+        return {"holds": check_growth_condition(ctx, wt, cfg["delta"], cfg["L"])}
+    rep, fields = _l1_fields(ctx, wt, cfg)
+    if rep.holds is None:
+        raise PrecisionExhausted("L1 smallness undecided at precision cap", rep.enclosure)
+    return {"holds": rep.holds, **fields, "bits_used": rep.bits_used}
 
 
 def cmd_orbit(args, cfg) -> dict:
+    """orbit scan / separation / growth-gap"""
     if args.kind == "scan":
-        if args.word:
-            a0, qs = load_word_file(args.word)
-            xi: object = CFExpansion(a0, qs)
-        else:
-            poly = _poly_arg(args, cfg)
-            xi = select_root(poly, int(cfg["root_index"]))
-        alpha = None
-        if args.poly2 or args.poly2_file:
-            alpha = select_root(
-                _poly_arg(args, cfg, "poly2", "poly2_file"), int(cfg["root_index2"])
-            )
-        if int(cfg["bits"]) < 1:
+        xi = CFExpansion(*load_word_file(args.word)) if args.word else _root(args, cfg)
+        alpha = _root(args, cfg, "2") if args.poly2 or args.poly2_file else None
+        if cfg["bits"] < 1:
             raise InputError("--bits must be >= 1 for an orbit scan")
         if alpha is not None and cfg["mode"] == "quadratic" and alpha.degree != 2:
             raise InputError("quadratic mode needs a quadratic irrational --poly2")
         res = orbit_best_approximations(
-            xi,
-            alpha,
-            int(cfg["height"]),
-            cfg["mode"],
-            bits=int(cfg["bits"]),
-            min_norm=int(cfg["min_norm"]),
+            xi, alpha, cfg["height"], cfg["mode"], bits=cfg["bits"], min_norm=cfg["min_norm"]
         )
         return {
             "records": [r.to_dict() for r in res.records],
             "xi_in_orbit": [[m.a, m.b, m.c, m.d] for m in res.xi_in_orbit],
         }
     if args.kind == "separation":
-        ctx = _pair_context(args, cfg)
+        ctx = _flag_pair(args, cfg)
         try:
             sep = separation_bound(ctx.cf, ctx.cf2)
         except ValueError as e:
@@ -569,14 +476,11 @@ def cmd_orbit(args, cfg) -> dict:
             "distance": [str(sep.distance.lo), str(sep.distance.hi)],
             "ok": sep.ok,
         }
-    if args.kind == "gap":
-        _, cf, _ = _expansion_from_args(args, cfg)
-        eps = _positive_fraction(cfg["epsilon"], "--epsilon")
-        if int(cfg["k"]) < 1:
-            raise InputError("--k must be >= 1 for the growth-gap scan")
-        hits = growth_gap_scan(cf, int(cfg["k"]), eps)
-        return {"k": int(cfg["k"]), "epsilon": str(eps), "hits": hits}
-    raise InputError(f"unknown orbit kind {args.kind!r}")
+    cf, _ = _expansion(args, cfg)
+    if cfg["k"] < 1:
+        raise InputError("--k must be >= 1 for the growth-gap scan")
+    eps = Fraction(cfg["epsilon"])
+    return {"k": cfg["k"], "epsilon": str(eps), "hits": growth_gap_scan(cf, cfg["k"], eps)}
 
 
 HANDLERS = {
@@ -591,98 +495,158 @@ HANDLERS = {
 }
 
 
-# ---------------------------------------------------------------- argparse
+# ---------------------------------------------------------------- options
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+@dataclass(frozen=True)
+class Option:
+    """One option, declared once; the parser, config files and checks read it.
+
+    The flag is `--name` with `-` for `_`, and `name` is its argparse dest.
+    An option with a default is also a config-file key and is in every
+    report's `config`. `type` is str, int, bool (a switch) or Fraction (a
+    positive rational, kept as the text given). The check is `low`, the
+    smallest int allowed, or `choices`.
+    """
+
+    name: str
+    subcommands: tuple[str, ...]
+    type: type = str
+    default: object = None
+    low: int | None = None
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    help: str | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
+
+    def parse(self, text: str, where: str):
+        """A config-file value, typed as argparse types the flag."""
+        try:
+            if self.type is int:
+                return int(text)
+            if self.type is bool:
+                return _BOOLS[text.lower()]
+        except (ValueError, KeyError):
+            kind = "an integer" if self.type is int else "true or false"
+            raise InputError(f"{where}: must be {kind}, got {text!r}") from None
+        return text
+
+    def check(self, value, where: str) -> None:
+        if self.type is Fraction:
+            _positive_fraction(value, where)
+        elif self.low is not None and value < self.low:
+            raise InputError(f"{where}: must be >= {self.low}, got {value}")
+        elif self.choices is not None and value not in self.choices:
+            raise InputError(f"{where}: must be one of {', '.join(self.choices)}, got {value!r}")
+
+
+_ALL = tuple(HANDLERS)
+_PAIR = ("detect", "harness", "orbit")
+
+OPTIONS = (
+    Option("kind", ("detect",), choices=("repetition", "mirror", "shared"), required=True),
+    Option("kind", ("harness",), choices=("transport", "l1", "growth")),
+    Option("kind", ("orbit",), choices=("scan", "separation", "gap"), required=True),
+    Option("job", ("harness",), help="JSON witness-batch job file"),
+    Option("poly", _ALL, help="coefficients, constant first, e.g. -2,0,0,1"),
+    Option("poly_file", _ALL),
+    Option("poly2", _PAIR),
+    Option("poly2_file", _PAIR),
+    Option("root_index2", _PAIR, int, -1),
+    Option("word", ("convergents", "complexity", "detect", "orbit"),
+           help="CF word file instead of a polynomial"),
+    Option("word2", ("detect",)),
+    Option("max_n", ("complexity",), int, 10, low=0),
+    Option("prefix", ("harness",), help="comma word A (transport)"),
+    Option("prefix2", ("harness",), help="comma word A' (transport)"),
+    Option("block", ("harness",), help="comma word B (transport)"),
+    Option("L", ("detect", "harness"), Fraction, "2"),
+    Option("min_b", ("detect",), int, 1, low=1),
+    Option("mirror", ("detect", "harness"), bool, False),
+    Option("k", ("harness", "orbit"), int, 1),
+    Option("l", ("harness",), int, 1),
+    Option("m", ("harness",), int, 1),
+    Option("delta", ("harness",), Fraction, "1/10"),
+    Option("height", ("orbit",), int, 100, low=1),
+    Option("mode", ("orbit",), str, "classic", choices=("classic", "quadratic")),
+    Option("min_norm", ("orbit",), int, 2, low=0),
+    Option("epsilon", ("orbit",), Fraction, "1/2"),
+    Option("config", _ALL, help="key=value config file"),
+    Option("depth", _ALL, int, 200, low=0),
+    Option("bits", _ALL, int, 256, low=0),
+    Option("root_index", _ALL, int, -1),
+    Option("no_cache", _ALL, bool, False),
+    Option("output", _ALL, help="report file (default stdout)"),
+    Option("format", _ALL, str, "json", choices=("json", "csv")),
+)
+_CONFIG = {o.name: o for o in OPTIONS if o.default is not None}
+
+
+def load_config_file(path: str) -> dict:
+    """key -> (typed value, "file:line: key") for each key=value line."""
+    out = {}
+    for i, line in enumerate(_read(path).splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InputError(f"{path}:{i}: expected key=value, got {line!r}")
+        key, _, value = (s.strip() for s in line.partition("="))
+        if key not in _CONFIG:
+            raise InputError(f"{path}:{i}: unknown config key {key!r}")
+        where = f"{path}:{i}: {key}"
+        out[key] = _CONFIG[key].parse(value, where), where
+    return out
+
+
+def resolve_config(args: argparse.Namespace) -> dict:
+    """Defaults, overridden by the --config file, overridden by flags. Each
+    value in effect is checked here, before any handler runs."""
+    given = load_config_file(args.config) if args.config else {}
+    for opt in _CONFIG.values():
+        value = getattr(args, opt.name, None)
+        if value is not None:
+            given[opt.name] = value, opt.flag
+    for key, (value, where) in given.items():
+        _CONFIG[key].check(value, where)
+    return {key: given[key][0] if key in given else opt.default for key, opt in _CONFIG.items()}
+
+
+class _Exit(Exception):
+    """--help or --version was asked for: print this text and exit 0."""
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(message)
 
-
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--depth", type=int)
-    p.add_argument("--bits", type=int)
-    p.add_argument("--root-index", dest="root_index", type=int)
-    p.add_argument("--no-cache", dest="no_cache", action="store_const", const=True)
-    p.add_argument("--output", help="report file (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"))
-
-
-def _add_poly(p: _Parser, second: bool = False) -> None:
-    p.add_argument("--poly", help="coefficients, constant first, e.g. -2,0,0,1")
-    p.add_argument("--poly-file", dest="poly_file")
-    if second:
-        p.add_argument("--poly2")
-        p.add_argument("--poly2-file", dest="poly2_file")
-        p.add_argument("--root-index2", dest="root_index2", type=int)
+    def _print_message(self, message, file=None):
+        # argparse prints --help and --version through here and then exits;
+        # raising instead lets main return 0, and a batch refuse such a line
+        raise _Exit(message)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="cfspectra", description=__doc__)
     parser.add_argument("--version", action="version", version=f"cfspectra {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("expand", help="certified partial quotients")
-    _add_poly(p)
-    _add_common(p)
-
-    p = sub.add_parser("convergents", help="convergent table")
-    _add_poly(p)
-    p.add_argument("--word", help="CF word file instead of a polynomial")
-    _add_common(p)
-
-    p = sub.add_parser("period", help="quadratic period detection")
-    _add_poly(p)
-    _add_common(p)
-
-    p = sub.add_parser("complexity", help="subword complexity profile")
-    _add_poly(p)
-    p.add_argument("--word")
-    p.add_argument("--max-n", dest="max_n", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("detect", help="repetition / mirror / shared-block detectors")
-    p.add_argument("--kind", required=True, choices=("repetition", "mirror", "shared"))
-    _add_poly(p, second=True)
-    p.add_argument("--word")
-    p.add_argument("--word2")
-    p.add_argument("--L", dest="L")
-    p.add_argument("--min-b", dest="min_b", type=int)
-    p.add_argument("--mirror", action="store_const", const=True)
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="classical identity suite on one expansion")
-    _add_poly(p)
-    _add_common(p)
-
-    p = sub.add_parser("harness", help="transport / L1-smallness / growth checks")
-    p.add_argument("--kind", choices=("transport", "l1", "growth"))
-    p.add_argument("--job", help="JSON witness-batch job file")
-    _add_poly(p, second=True)
-    p.add_argument("--prefix", help="comma word A (transport)")
-    p.add_argument("--prefix2", help="comma word A' (transport)")
-    p.add_argument("--block", help="comma word B (transport)")
-    p.add_argument("--mirror", action="store_const", const=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--l", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--delta")
-    p.add_argument("--L", dest="L")
-    _add_common(p)
-
-    p = sub.add_parser("orbit", help="orbit scan / separation / growth-gap")
-    p.add_argument("--kind", required=True, choices=("scan", "separation", "gap"))
-    _add_poly(p, second=True)
-    p.add_argument("--word", help="CF word file as the scan target")
-    p.add_argument("--height", type=int)
-    p.add_argument("--mode", choices=("classic", "quadratic"))
-    p.add_argument("--min-norm", dest="min_norm", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--epsilon")
-    _add_common(p)
-
-    p = sub.add_parser("batch", help="run a file of jobs, one command line each")
-    p.add_argument("jobfile")
+    for name, handler in HANDLERS.items():
+        p = sub.add_parser(name, help=handler.__doc__)
+        for opt in OPTIONS:
+            if name not in opt.subcommands:
+                continue
+            if opt.type is bool:
+                spec = {"action": "store_const", "const": True}
+            else:
+                spec = {"type": int if opt.type is int else None, "choices": opt.choices,
+                        "required": opt.required}
+            p.add_argument(opt.flag, dest=opt.name, help=opt.help, **spec)
+    sub.add_parser("batch", help=_run_batch.__doc__).add_argument("jobfile")
     return parser
 
 
@@ -710,6 +674,8 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+# ---------------------------------------------------------------- running
+
 # built on the first job, not at import; argparse keeps no state between
 # parse_args calls, so batch lines and later main() calls reuse it
 _PARSER: _Parser | None = None
@@ -724,29 +690,30 @@ def _run_single(argv: list[str]) -> int:
         return _run_batch(args)
     cfg = resolve_config(args)
     result = HANDLERS[args.subcommand](args, cfg)
-    report = make_report({"subcommand": args.subcommand, **cfg}, result)
-    emit(report, getattr(args, "output", None), cfg["format"])
-    if isinstance(result, dict) and result.get("undecided"):
-        return 2
-    return 0
+    emit(make_report({"subcommand": args.subcommand, **cfg}, result), args.output, cfg["format"])
+    return 2 if isinstance(result, dict) and result.get("undecided") else 0
 
 
 def _run_batch(args) -> int:
-    try:
-        lines = Path(args.jobfile).read_text().splitlines()
-    except OSError as e:
-        raise InputError(f"{args.jobfile}: {e}") from None
+    """run a file of jobs, one command line each"""
     jobs = []
-    for i, line in enumerate(lines, 1):
+    for i, line in enumerate(_read(args.jobfile).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            jobs.append(shlex.split(line))
+            job = shlex.split(line)
         except ValueError as e:
             raise InputError(f"{args.jobfile}:{i}: {e}") from None
-        if jobs[-1][:1] == ["batch"]:
+        if job[:1] == ["batch"]:
             raise InputError(f"{args.jobfile}:{i}: a batch job cannot run another batch")
+        try:
+            _PARSER.parse_args(_merge_negative_values(job))
+        except _Exit:
+            raise InputError(f"{args.jobfile}:{i}: a help or version line is not a job") from None
+        except InputError:
+            pass  # reported when the job runs
+        jobs.append(job)
     return max((main(job) for job in jobs), default=0)
 
 
@@ -760,6 +727,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return _run_single(list(argv))
+    except _Exit as e:
+        sys.stdout.write(str(e))
+        return 0
     except InputError as e:
         print(f"cfspectra: error: {e}", file=sys.stderr)
         return 1

@@ -22,22 +22,6 @@ from .intervals import FInterval
 from .matrices import Mat2
 
 
-def psl2z_normalize(m) -> Mat2:
-    """Projective representative with c > 0, or c = 0 and d > 0."""
-    if not isinstance(m, Mat2):
-        m = Mat2(*m)
-    if abs(m.det()) != 1:
-        raise ValueError("determinant must be +-1")
-    if m.c < 0 or (m.c == 0 and m.d < 0):
-        m = -m
-    return m
-
-
-def norm_of(m: Mat2) -> int:
-    """Matrix height max(|c|, |d|)."""
-    return m.norm()
-
-
 def quadratic_norm(
     m: Mat2, alpha: AlgebraicNumber, bits: int = 64, *, conj: AlgebraicNumber | None = None
 ) -> FInterval:
@@ -436,24 +420,3 @@ def growth_gap_scan(cf: CFExpansion, k: int, eps) -> list[int]:
         if qnk**v > qn ** (v + u):
             hits.append(n)
     return hits
-
-
-def norm_equivalence_estimate(
-    alpha: AlgebraicNumber, a0: Mat2, height: int
-) -> tuple[Fraction, Fraction]:
-    """Empirical min/max of ||A|| / ||A A0^-1|| over matrices up to the height.
-
-    Evidence for the two-sided norm comparison between the alpha and
-    alpha' = A0 alpha coordinates; not a proof.
-    """
-    a0 = psl2z_normalize(a0)
-    # the adjugate inverts up to det = +-1, which is invisible projectively
-    lo = hi = None
-    for c, d in enumerate_bottom_rows(height):
-        for det in (1, -1):
-            m = complete_unimodular(c, d, det)
-            other = psl2z_normalize(m @ a0.adjugate())
-            ratio = Fraction(norm_of(psl2z_normalize(m)), norm_of(other))
-            lo = ratio if lo is None or ratio < lo else lo
-            hi = ratio if hi is None or ratio > hi else hi
-    return lo, hi

@@ -98,15 +98,6 @@ class IntPolynomial:
                     acc[j] += ci * pj
         return IntPolynomial(_strip(acc) or (0,))
 
-    def mul(self, other: "IntPolynomial") -> "IntPolynomial":
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(_strip(out) or (0,))
-
 
 def _prem(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """A pseudo-remainder of a by nonzero b over Z: a nonzero integer multiple

@@ -191,20 +191,6 @@ def validate_witness(wt: SharedBlockWitness, a, a2) -> bool:
     return block == (other[::-1] if wt.mirror else other)
 
 
-def cycle_mirror_shift(A, B) -> int | None:
-    """Smallest i with reverse(B) equal to the rotation of A starting at i."""
-    A = _as_word(A)
-    B = _as_word(B)
-    if len(A) != len(B):
-        raise ValueError("words must have equal length")
-    rev = B[::-1]
-    n = len(A)
-    for i in range(1, n + 1):
-        if A[i - 1 :] + A[: i - 1] == rev:
-            return i
-    return None
-
-
 def same_tail_offset(a, a2, min_tail: int = 1) -> tuple[int, int] | None:
     """Smallest (i, j), 1-based, with a[i:] == a2[j:] on their common range."""
     if min_tail < 1:
@@ -222,11 +208,6 @@ def same_tail_offset(a, a2, min_tail: int = 1) -> tuple[int, int] | None:
         if j is not None:
             found = (i + 1, j + 1)
     return found
-
-
-def last_letter_threshold_held(wt: SharedBlockWitness, bound: int = 3) -> bool:
-    """Whether both leading segments have length at least `bound`."""
-    return min(wt.k, wt.l) >= bound
 
 
 def normalize_witness(wt: SharedBlockWitness, a, a2) -> SharedBlockWitness:

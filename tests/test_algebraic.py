@@ -7,14 +7,15 @@ from cfspectra import (
     IntPolynomial,
     Mat2,
     alg_equal,
+    expand,
     isolate_real_roots,
     moebius_apply,
     moebius_minpoly,
     quadratic_conjugate,
 )
-from cfspectra.algebraic import AlgebraicNumber, DyadicInterval, floor_of
+from cfspectra.algebraic import AlgebraicNumber, DyadicInterval
 
-from conftest import root_of
+from conftest import mul, root_of
 
 
 class TestIsolation:
@@ -79,7 +80,7 @@ class TestRefinement:
         # refining one bit at a time reaches, also on reducible inputs
         p = IntPolynomial.from_coeffs(coeffs)
         if r is not None:
-            p = p.mul(IntPolynomial.from_coeffs([-r.numerator, r.denominator]))
+            p = mul(p, IntPolynomial.from_coeffs([-r.numerator, r.denominator]))
         roots = isolate_real_roots(p)
         x = roots[pick % len(roots)]
         if start:
@@ -90,16 +91,18 @@ class TestRefinement:
         x.refine_to(bits)
         assert (x.isolating.lo, x.isolating.hi) == (stepped.isolating.lo, stepped.isolating.hi)
 
+    # the certified floor is the a0 of a depth-0 expansion
     def test_floor(self, sqrt2, golden, cbrt2):
-        assert floor_of(sqrt2) == 1
-        assert floor_of(golden) == 1
-        assert floor_of(cbrt2) == 1
-        assert floor_of(root_of([-7, 0, 1])) == 2
-        assert floor_of(root_of([-2, 0, 1], 0)) == -2  # -sqrt(2)
+        assert expand(sqrt2, 0).a0 == 1
+        assert expand(golden, 0).a0 == 1
+        assert expand(cbrt2, 0).a0 == 1
+        assert expand(root_of([-7, 0, 1]), 0).a0 == 2
+        assert expand(root_of([-2, 0, 1], 0), 0).a0 == -2  # -sqrt(2)
 
     def test_floor_of_integer(self):
         three = isolate_real_roots(IntPolynomial.from_coeffs([-3, 1]))[0]
-        assert floor_of(three) == 3
+        cf = expand(three, 0)
+        assert (cf.a0, cf.terminated) == (3, True)
 
 
 class TestMoebius:

@@ -21,7 +21,7 @@ from cfspectra import (
     word_matrix,
 )
 
-from conftest import root_of
+from conftest import mul, root_of
 
 words = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=20)
 
@@ -98,7 +98,7 @@ class TestExpansion:
         # (x - r) f(x): r gets its exact finite expansion, every other root
         # the same word as when f is expanded alone
         f = IntPolynomial.from_coeffs(f)
-        p = f.mul(IntPolynomial.from_coeffs([-r.numerator, r.denominator]))
+        p = mul(f, IntPolynomial.from_coeffs([-r.numerator, r.denominator]))
         alone = iter(isolate_real_roots(f))
         for x in isolate_real_roots(p):
             cf = expand(x, depth)

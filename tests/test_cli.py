@@ -1,10 +1,18 @@
+import contextlib
+import io
+import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
+import tempfile
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cfspectra import cli
 from cfspectra.cli import main
@@ -290,6 +298,50 @@ class TestConfigAndErrors:
         assert json.loads(out1.read_text())["result"]["quotients"] == [2] * 5
         assert json.loads(out2.read_text())["result"]["period"] == [1, 1, 1, 4]
 
+    def test_config_file_values_checked_like_flags(self, capsys, tmp_path):
+        # mode=foo used to raise ValueError from the orbit scan; mirror=maybe
+        # and no_cache=maybe used to mean false
+        cfg = tmp_path / "cfg.txt"
+        scan = ["orbit", "--kind", "scan", "--poly=-2,0,0,1", "--poly2=-2,0,1", "--height", "3"]
+        for line in ("mode=foo", "mirror=maybe", "no_cache=maybe", "L=0", "format=xml", "depth=x"):
+            cfg.write_text(f"# checked like a flag\n{line}\n")
+            assert main([*scan, "--config", str(cfg)]) == 1
+            assert f"{cfg}:2: {line.split('=')[0]}:" in capsys.readouterr().err
+        cfg.write_text("mode=quadratic\nmirror=no\nno_cache=yes\n")
+        code, rep = run(capsys, *scan, "--config", str(cfg))
+        assert code == 0
+        assert (rep["config"]["mode"], rep["config"]["mirror"], rep["config"]["no_cache"]) == (
+            "quadratic", False, True)
+
+    def test_harness_transport_missing_words(self, capsys):
+        # used to raise AttributeError from parse_word_inline(None)
+        full = ["--prefix", "1,2", "--prefix2", "2,1", "--block", "3,4"]
+        for drop in range(0, len(full), 2):
+            argv = ["harness", "--kind", "transport", *full[:drop], *full[drop + 2:]]
+            assert main(argv) == 1
+            assert full[drop] in capsys.readouterr().err
+
+    def test_batch_rejects_help_and_version(self, capsys, tmp_path):
+        jobs = tmp_path / "jobs.txt"
+        out1, out3 = tmp_path / "r1.json", tmp_path / "r3.json"
+        for line in ("--version", "-h", "--help", "expand -h", "--vers", "--he", "expand --he"):
+            jobs.write_text(
+                f"expand --poly -2,0,1 --depth 5 --output {out1}\n"
+                f"{line}\n"
+                f"period --poly -7,0,1 --output {out3}\n"
+            )
+            assert main(["batch", str(jobs)]) == 1, line
+            captured = capsys.readouterr()
+            assert f"{jobs}:2:" in captured.err
+            assert captured.out == ""
+            assert not out1.exists() and not out3.exists()  # rejected before any job ran
+
+    def test_help_and_version_from_the_shell(self):
+        proc = _python("-m", "cfspectra.cli", "--version")
+        assert (proc.returncode, proc.stdout.strip()) == (0, "cfspectra 0.1.0")
+        proc = _python("-m", "cfspectra.cli", "expand", "-h")
+        assert proc.returncode == 0 and "--poly-file" in proc.stdout
+
     def test_batch_rejects_nested_batch(self, capsys, tmp_path):
         jobs = tmp_path / "jobs.txt"
         out = tmp_path / "r.json"
@@ -355,3 +407,237 @@ class TestOneParserPerProcess:
                 "assert cli._PARSER is None, 'parser built at import'")
         proc = _python("-c", code)
         assert proc.returncode == 0, proc.stderr
+
+
+# ------------------------------------------------------------ golden digests
+# Report digests recorded before the option table replaced the hand-written
+# parser, config typing and checks: the resolved config, and so the digest,
+# of every valid job stays byte-identical. "@" names a file in GOLDEN_FILES.
+
+GOLDEN_FILES = {
+    "cfg.txt": "# a config file\ndepth=24\nbits=128\nL=5/2\nmirror=true\nmode=quadratic\nmin_b=2\n",
+    "w.txt": "0\n1\n2\n1\n2\n1\n2\n3\n1\n2\n1\n2\n",
+    "p.txt": "# cube root of 2\n-2,0,0,1\n",
+    "job.json": json.dumps({"alpha": [-2, 0, 1], "alpha_prime": [-1, 0, 2], "depth": 40,
+                            "auto": {"L": "4", "minB": 25}}),
+}
+GOLDEN = [
+    ("expand --poly=-2,0,0,1 --depth 40",
+     "0e8751778067733df31bd517989775c1e73127e36b12a32a6e3b99f0d338e8c2"),
+    ("convergents --poly=-3,0,1 --depth 12 --root-index 1",
+     "a1fd54e40d3fd395396a14db758575b0b40b564c4c414f08910b8dd5ff5e3000"),
+    ("period --poly=-7,0,1",
+     "1148b8bb133e8dea27d09821ad26a4712f0416b1b20a6ce191f9224e7dab90b3"),
+    ("complexity --poly=-2,0,0,1 --depth 30 --max-n 4",
+     "d14072bbf0b584da0f57aa81735963a36f86670f8d3ba6ff1b51687526c114ab"),
+    ("detect --kind repetition --poly=-2,0,0,1 --depth 60 --L 3",
+     "d9eb0d3f66cf25a56053de0a45cd410e584e820d25baf0a6b89bd857c3414d54"),
+    ("detect --kind mirror --poly=-3,0,0,1 --depth 60 --L 4 --min-b 2",
+     "f0e27220f79b15d8c22dcfb56927aa47f5cb5292bd3ee1817020d22f56dfcd2e"),
+    ("detect --kind shared --poly=-2,0,1 --poly2=-1,0,2 --depth 30 --L 4 --min-b 20 --mirror",
+     "47b948f69468c8326a3f225cfd1e6d17cbdbc351a0715f9634cc552ce0235ae6"),
+    ("verify --poly-file @p.txt --depth 30",
+     "41dbe460797e89f42cb67db03b86887bc28a310239106d9bc483e24534fe5cd1"),
+    ("harness --kind transport --prefix 1,2 --prefix2 2,1 --block 3,4 --mirror",
+     "a030ee974a66e6af8f010735ae5dfd461ebbabfb73fa953b39c9e47b87ab123a"),
+    ("harness --kind l1 --poly=-2,0,1 --poly2=-1,0,2 --depth 40 --k 1 --l 2 --m 20 --bits 64",
+     "0141eb39cbfcae9e3aa2f9733948bc8309787e85b96ef074ca9ce67bc8e63e6c"),
+    ("harness --kind growth --poly=-2,0,1 --poly2=-1,0,2 --depth 40 --k 1 --l 2 --m 20 "
+     "--delta 1/5 --L 3",
+     "46a065b9ee902092e5e5adefb354b123c91611102d09e3713c2a76a517fa9301"),
+    ("harness --job @job.json --bits 64",
+     "ca003b83ed0a2308b81a8a42f76579fb4daecb911efa187b83e71c7a3b99c8e9"),
+    ("orbit --kind scan --poly=-2,0,0,1 --poly2=-2,0,1 --height 8 --min-norm 3",
+     "aca192d50f24a3dcdc9af53788f588eadeb5e9768658c8d68700a3262f2f3f1d"),
+    ("orbit --kind scan --poly=-2,0,0,1 --poly2=-2,0,1 --height 6 --mode quadratic --bits 128",
+     "2113319a04bb2c67aa20068fac52a109358f04c2b73b82735ec4b60246c8d643"),
+    ("orbit --kind scan --word @w.txt --height 5",
+     "eb99607a7f3b0a120f14bdfb46f91f71454ad8692eae233920b74f06af75c820"),
+    ("orbit --kind separation --poly=-2,0,0,1 --poly2=-3,0,0,1 --depth 20",
+     "6b11c9caaecc0ad6ec2059c43f847bb829b06e89c921d8b580e34711abcfcfab"),
+    ("orbit --kind gap --poly=-2,0,0,1 --depth 30 --k 2 --epsilon 1/3",
+     "17e190d3bb6c3712ebb14c8912fbd69e0f35ba66cb6e94315db81a7b781b3a99"),
+    ("expand --poly=-2,0,1 --config @cfg.txt",
+     "2fe05de74f3dd24d2ad443485fbf89b9f6c41739357bced79b319dc438a9ab6e"),
+    ("detect --kind repetition --word @w.txt --L 4",
+     "842f0976e95252be4857c3befca9dd5c9a8d991056be9d3d40ce90bd6199a584"),
+]
+
+
+@pytest.mark.parametrize("line,digest", GOLDEN, ids=[line for line, _ in GOLDEN])
+def test_golden_digest(capsys, tmp_path, line, digest):
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [t.replace("@", f"{tmp_path}/") for t in shlex.split(line)]
+    code, rep = run(capsys, *argv, "--no-cache")
+    assert code == 0
+    assert rep["digest"] == digest
+
+
+# ----------------------------------------------------------- exit-code gate
+# argv for every subcommand and kind, built from the rows of cli.OPTIONS, with
+# small magnitudes. Half the jobs give one option a degenerate value (0,
+# negative, non-numeric, a bad word, job or config file); options are left out
+# at random, so per-kind flags go missing. Whatever the input, main must
+# return 0, 1 or 2 and raise nothing, SystemExit included.
+
+@dataclass(frozen=True)
+class _File:
+    """A file the gate writes and passes by its path (None: no file there)."""
+
+    text: str | None
+
+
+@dataclass(frozen=True)
+class _Jobs:
+    """A batch job file: lines of argv, then one raw line."""
+
+    jobs: tuple
+    raw: str
+
+
+def _join(xs, sep=","):
+    return sep.join(map(str, xs))
+
+
+def _file(good, bad):
+    return good.map(_File), st.one_of(bad.map(_File), st.just(_File(None)))
+
+
+_INT_MAX = {"depth": 40, "height": 6, "bits": 300}
+_BAD_NUMBERS = st.sampled_from(["", "x", "1.5", "1/0"])
+_POLY = (
+    st.one_of(st.sampled_from(["-2,0,0,1", "-2,0,1", "-7,0,1", "-1,-1,1", "-9,3,-3,1", "-3,1"]),
+              st.lists(st.integers(-6, 6), min_size=2, max_size=4).map(_join)),
+    st.sampled_from(["0", "1", "0,0", "1,x", "", "5,0,1"]),
+)
+_WORD = (
+    st.one_of(
+        st.lists(st.integers(1, 6), max_size=8).map(lambda qs: _join([0, *qs], "\n")),
+        st.builds(lambda a0, qs: json.dumps({"a0": a0, "quotients": qs}),
+                  st.integers(-3, 3), st.lists(st.integers(1, 6), max_size=8)),
+    ),
+    st.sampled_from(["", "x", "1\n0\n2", "{", '{"a0": 1}', '{"a0": "x", "quotients": 3}',
+                     '{"a0": 1, "quotients": [2, -1]}', "# only a comment\n"]),
+)
+_INLINE = (st.lists(st.integers(1, 6), min_size=1, max_size=8).map(_join),
+           st.sampled_from(["", "x", "1,,2", "0,-1"]))
+_NUMBER = st.sampled_from([[-2, 0, 1], [-1, 0, 2], [-2, 0, 0, 1], [-3, 0, 0, 1], [-7, 0, 1]])
+_JOB = (
+    st.fixed_dictionaries(
+        {"alpha": _NUMBER, "alpha_prime": _NUMBER, "depth": st.integers(0, 12)},
+        optional={
+            "witnesses": st.lists(st.fixed_dictionaries(
+                {"k": st.integers(0, 6), "l": st.integers(0, 6), "m": st.integers(1, 6)},
+                optional={"mirror": st.booleans()}), max_size=3),
+            "auto": st.fixed_dictionaries({}, optional={
+                "L": st.sampled_from(["4", "3/2"]), "minB": st.integers(1, 8),
+                "mirror": st.booleans()}),
+        },
+    ).map(json.dumps),
+    st.one_of(
+        st.sampled_from(["{", "[]", '"text"', '{"alpha": [-2, 0, 1], "alpha_prime": [-2, 0, 1]}']),
+        st.builds(
+            lambda field, value: json.dumps(
+                {"alpha": [-2, 0, 1], "alpha_prime": [-1, 0, 2], "depth": 8, field: value}),
+            st.sampled_from(["alpha", "alpha_prime", "depth", "witnesses", "auto"]),
+            st.sampled_from([[0], [], ["x"], -3, "x", None, 1e300, [{"k": "x"}],
+                             [{"k": 0, "l": 0, "m": 0}], {"L": "0"}, {"L": [1]}, {"minB": 0}]),
+        ),
+    ),
+)
+
+
+def _values(opt):
+    """(good, degenerate) strategies for one row of cli.OPTIONS, as text."""
+    if opt.type is bool:  # only a config file gives a switch a value
+        return st.sampled_from(["true", "false", "1", "0", "yes", "no"]), st.sampled_from(["maybe", ""])
+    if opt.type is int:
+        low = -2 if opt.low is None else opt.low
+        return (st.integers(low, _INT_MAX.get(opt.name, 8)).map(str),
+                st.one_of(st.just(str(low - 1)), _BAD_NUMBERS))
+    if opt.type is Fraction:
+        return st.sampled_from(["2", "1/10", "1/2", "5/2", "3"]), st.sampled_from(["0", "-1/2", "x", ""])
+    if opt.choices:
+        return st.sampled_from(opt.choices), st.just("foo")
+    return _TEXT[opt.name]
+
+
+_CONFIG_KEYS = [o for o in cli.OPTIONS if o.default is not None]
+
+
+@st.composite
+def _config_text(draw, bad=False):
+    lines = ["# a config file"]
+    for opt in draw(st.lists(st.sampled_from(_CONFIG_KEYS), max_size=3)):
+        lines.append(f"{opt.name}={draw(_values(opt)[0])}")
+    if bad:
+        opt = draw(st.sampled_from(_CONFIG_KEYS))
+        lines.append(draw(st.one_of(
+            _values(opt)[1].map(lambda v: f"{opt.name}={v}"),
+            st.sampled_from(["nonsense=1", "oops"]))))
+    return "\n".join(lines)
+
+
+_TEXT = {
+    "poly": _POLY, "poly2": _POLY,
+    "poly_file": _file(_POLY[0].map(lambda p: f"# a polynomial\n{p}\n"), _POLY[1]),
+    "poly2_file": _file(*_POLY),
+    "word": _file(*_WORD), "word2": _file(*_WORD),
+    "prefix": _INLINE, "prefix2": _INLINE, "block": _INLINE,
+    "job": _file(*_JOB),
+    "config": _file(_config_text(), _config_text(bad=True)),
+    "output": (st.just(_File(None)), st.just(_File(None))),
+}
+_LIKELY = {"kind", "poly", "poly2", "prefix", "prefix2", "block", "depth", "height", "output"}  # rarely left out
+
+
+@st.composite
+def _argv(draw, sub):
+    rows = [o for o in cli.OPTIONS if sub in o.subcommands]
+    bad = draw(st.one_of(st.none(), st.sampled_from([o.name for o in rows])))
+    argv = [sub]
+    for opt in rows:
+        if opt.type is bool:
+            argv += [opt.flag] if draw(st.booleans()) else []
+        elif draw(st.integers(0, 7)) > (0 if opt.name in _LIKELY else 4):
+            argv += [opt.flag, draw(_values(opt)[opt.name == bad])]
+    return argv
+
+
+_SINGLE = st.sampled_from(list(cli.HANDLERS)).flatmap(_argv)
+_BATCH = st.builds(
+    lambda jobs, raw: ["batch", _Jobs(tuple(jobs), raw)],
+    st.lists(_SINGLE, min_size=1, max_size=2),
+    st.sampled_from(["", "# a comment", "batch x", 'expand "unbalanced']),
+)
+
+
+def _materialize(argv, root: Path, names) -> list[str]:
+    out = []
+    for tok in argv:
+        if isinstance(tok, (_File, _Jobs)):
+            path = root / f"f{next(names)}"
+            if isinstance(tok, _Jobs):
+                lines = [shlex.join(_materialize(job, root, names)) for job in tok.jobs]
+                path.write_text("\n".join([*lines, tok.raw]))
+            elif tok.text is not None:
+                path.write_text(tok.text)
+            tok = str(path)
+        out.append(tok)
+    return out
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(argv=st.one_of(_SINGLE, _BATCH))
+def test_every_input_exits_0_1_or_2(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _materialize(argv, Path(tmp), itertools.count())
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = main(argv)
+            except BaseException as e:  # SystemExit included
+                raise AssertionError(f"{shlex.join(argv)} raised {e!r}") from e
+    assert code in (0, 1, 2), (argv, code)

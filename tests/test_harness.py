@@ -69,7 +69,7 @@ class TestPhiVector:
     def test_mirror_quadruple_unimodular_arrangement(self):
         ctx = make_pair(depth=20)
         quad = mirror_quadruple(ctx, 3, 2, 4)
-        assert abs(quad.arrangement().det()) in (1, 0) or quad.max_abs > 0
+        assert quad.arrangement().det() == -1
 
 
 class TestLinearForms:

@@ -15,10 +15,7 @@ from cfspectra import (
     growth_gap_scan,
     isolate_real_roots,
     moebius_apply,
-    norm_equivalence_estimate,
-    norm_of,
     orbit_best_approximations,
-    psl2z_normalize,
     quadratic_norm,
     separation_bound,
 )
@@ -35,6 +32,22 @@ from cfspectra.orbit import (
 )
 
 from conftest import root_of
+
+
+def psl2z_normalize(m) -> Mat2:
+    """Projective representative with c > 0, or c = 0 and d > 0."""
+    if not isinstance(m, Mat2):
+        m = Mat2(*m)
+    if abs(m.det()) != 1:
+        raise ValueError("determinant must be +-1")
+    if m.c < 0 or (m.c == 0 and m.d < 0):
+        m = -m
+    return m
+
+
+def norm_of(m: Mat2) -> int:
+    """Matrix height max(|c|, |d|)."""
+    return m.norm()
 
 
 class TestEnumeration:
@@ -180,11 +193,6 @@ class TestGapsAndNorms:
         cf = expand(sqrt2, 10)
         with pytest.raises(ValueError):
             growth_gap_scan(cf, 0, Fraction(1, 2))
-
-    def test_norm_equivalence_bounded(self, sqrt2):
-        lo, hi = norm_equivalence_estimate(sqrt2, Mat2(1, 1, 0, 1), 20)
-        assert 0 < lo <= 1 <= hi
-        assert hi <= 4  # shear by one translate at most doubles the row norm
 
 
 # ---------------------------------------------------- equivalence referee

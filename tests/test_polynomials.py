@@ -14,6 +14,8 @@ from cfspectra.polynomials import (
     squarefree_part,
 )
 
+from conftest import mul
+
 
 def P(*coeffs):
     return IntPolynomial.from_coeffs(list(coeffs))
@@ -94,7 +96,7 @@ class TestRootCounting:
     def test_integer_root_products(self, roots):
         p = P(1)
         for r in roots:
-            p = p.mul(P(-r, 1))
+            p = mul(p, P(-r, 1))
         lo, hi = Fraction(min(roots)) - 1, Fraction(max(roots)) + 1
         assert count_roots_in(p, lo, hi) == len(roots)
 
@@ -211,12 +213,12 @@ def frozen_moebius_minpoly(m, p):
     pows_num = [IntPolynomial((1,))]
     pows_den = [IntPolynomial((1,))]
     for _ in range(deg):
-        pows_num.append(pows_num[-1].mul(num))
-        pows_den.append(pows_den[-1].mul(den))
+        pows_num.append(mul(pows_num[-1], num))
+        pows_den.append(mul(pows_den[-1], den))
     acc = [0] * (deg + 1)
     for i, ci in enumerate(p.coeffs):
         if ci:
-            for j, c in enumerate(pows_num[i].mul(pows_den[deg - i]).coeffs):
+            for j, c in enumerate(mul(pows_num[i], pows_den[deg - i]).coeffs):
                 acc[j] += ci * c
     return frozen_squarefree_part(IntPolynomial.from_coeffs(acc))
 
@@ -235,8 +237,8 @@ def polynomials(draw, min_degree=1):
     for r in draw(st.lists(small_rational, max_size=3)):
         f = P(-r.numerator, r.denominator)
         for _ in range(draw(st.integers(min_value=1, max_value=3))):
-            p = p.mul(f)
-    p = p.mul(P(0, 1)) if draw(st.booleans()) and p.degree < 9 else p
+            p = mul(p, f)
+    p = mul(p, P(0, 1)) if draw(st.booleans()) and p.degree < 9 else p
     scale = draw(st.sampled_from([1, 1, -1, 6, -35]))
     return IntPolynomial(tuple(scale * c for c in p.coeffs))
 
@@ -297,7 +299,7 @@ class TestMatchesFractionLayer:
     @settings(max_examples=200, deadline=None)
     @given(p=polynomials(), q=polynomials(), common=polynomials())
     def test_gcd_and_squarefree(self, p, q, common):
-        p, q = p.mul(common), q.mul(common)
+        p, q = mul(p, common), mul(q, common)
         assert poly_gcd(p, q) == frozen_poly_gcd(p, q)
         assert poly_gcd(q, p) == frozen_poly_gcd(q, p)
         assert squarefree_part(p) == frozen_squarefree_part(p)

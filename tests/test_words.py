@@ -7,11 +7,9 @@ from hypothesis import given, strategies as st
 from cfspectra.words import (
     RepetitionWitness,
     SharedBlockWitness,
-    cycle_mirror_shift,
     find_mirror_repetitions,
     find_repetitions,
     find_shared_blocks,
-    last_letter_threshold_held,
     normalize_witness,
     same_tail_offset,
     strictly_increasing_blocks,
@@ -203,10 +201,6 @@ class TestWitnessTools:
                 # the A-parts now end differently or one is empty
                 assert nw.k == 0 or nw.l == 0 or a[nw.k - 1] != a2[nw.l - 1]
 
-    def test_threshold_flag(self):
-        assert last_letter_threshold_held(SharedBlockWitness(3, 4, 1))
-        assert not last_letter_threshold_held(SharedBlockWitness(2, 9, 1))
-
     def test_strictly_increasing_blocks(self):
         wits = [
             RepetitionWitness(1, 1, 2, Fraction(1)),
@@ -219,15 +213,6 @@ class TestWitnessTools:
 
 
 class TestTailAndCycle:
-    def test_cycle_mirror_shift(self):
-        # reverse((2,3,1)) = (1,3,2); rotation of (3,2,1) starting at 2 is (2,1,3)...
-        a = (1, 3, 2)
-        assert cycle_mirror_shift(a, (2, 3, 1)) == 1
-        assert cycle_mirror_shift((1, 2, 3), (1, 2, 3)) in (1, 2, 3, None)
-
-    def test_cycle_mirror_none(self):
-        assert cycle_mirror_shift((1, 1, 2), (2, 2, 1)) is None
-
     def test_same_tail(self):
         a = (5, 1, 2, 1, 2)
         a2 = (9, 9, 1, 2, 1, 2)
