@@ -27,7 +27,7 @@ from .cf import (
     verify_cf_identities,
     word_matrix,
 )
-from .enclose import log_enclosure, log_ratio_enclosure
+from .enclose import log_ratio_enclosure
 from .errors import PrecisionExhausted
 from .harness import (
     MirrorQuadruple,
@@ -37,7 +37,6 @@ from .harness import (
     check_growth_condition,
     check_L1_smallness,
     check_transport_identity,
-    delta_from_L,
     eval_linear_forms,
     l1_smallness_report,
     mirror_quadruple,
@@ -99,7 +98,6 @@ __all__ = [
     "complete_unimodular",
     "convergents",
     "count_roots_in",
-    "delta_from_L",
     "detect_period",
     "enumerate_bottom_rows",
     "eval_linear_forms",
@@ -112,7 +110,6 @@ __all__ = [
     "integer_nth_root",
     "isolate_real_roots",
     "l1_smallness_report",
-    "log_enclosure",
     "log_ratio_enclosure",
     "mirror_quadruple",
     "moebius_apply",

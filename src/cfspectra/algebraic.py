@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
+from .errors import PrecisionExhausted
 from .intervals import FInterval
 from .matrices import Mat2
 from .polynomials import (
@@ -289,32 +290,29 @@ def moebius_apply(m, x: AlgebraicNumber, *, bits: int = 64) -> AlgebraicNumber:
             if count_roots_in(q, dlo, dhi) == 1:
                 return AlgebraicNumber(q, DyadicInterval(dlo, dhi))
         work *= 2
-    raise RuntimeError("failed to isolate Moebius image")
+    raise PrecisionExhausted("failed to isolate Moebius image")
+
+
+def _above_vertex(x: AlgebraicNumber) -> bool:
+    """Whether x is the larger root of its quadratic minimal polynomial. The
+    vertex -b/(2a) lies strictly between the roots and is none of them, so an
+    interval holding it has no root from its lower end to the vertex exactly
+    when x lies above."""
+    _, b, a = x.minpoly.coeffs
+    vertex = Fraction(-b, 2 * a)
+    if x.isolating.lo <= vertex <= x.isolating.hi:
+        return x.minpoly.sign_at(vertex) == x.minpoly.sign_at(x.isolating.lo)
+    return x.isolating.lo > vertex
 
 
 def quadratic_conjugate(x: AlgebraicNumber) -> AlgebraicNumber:
-    """The other root of a quadratic's minimal polynomial."""
+    """The other root of x's quadratic minimal polynomial; nothing is refined."""
     if x.degree != 2:
         raise ValueError("conjugate defined only for quadratics")
     roots = isolate_real_roots(x.minpoly)
     if len(roots) != 2:
         raise ValueError("polynomial has no real conjugate pair")
-    bits = 16
-    while bits <= REFINE_HARD_CAP:
-        x.refine_to(bits)
-        for r in roots:
-            r.refine_to(bits)
-        apart = [
-            r
-            for r in roots
-            if r.isolating.hi < x.isolating.lo or r.isolating.lo > x.isolating.hi
-        ]
-        if len(apart) == 1:
-            return apart[0]
-        if len(apart) == 2:
-            raise ValueError("x is not a root of its own minimal polynomial")
-        bits *= 2
-    raise RuntimeError("could not separate conjugate roots")
+    return roots[0] if _above_vertex(x) else roots[1]
 
 
 def _equals_rational(x: AlgebraicNumber, r: Fraction) -> bool:
@@ -354,4 +352,4 @@ def alg_equal(x: AlgebraicNumber, y: AlgebraicNumber) -> bool:
         if count_roots_in(g, lo, hi) == 1:
             return True
         bits *= 2
-    raise RuntimeError("equality test did not converge")
+    raise PrecisionExhausted("equality test did not converge")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
-from .algebraic import AlgebraicNumber, _equals_rational
+from .algebraic import AlgebraicNumber, _above_vertex, _equals_rational
 from .errors import PrecisionExhausted
 from .intervals import FInterval
 from .matrices import Mat2
@@ -170,14 +170,8 @@ def detect_period(x: AlgebraicNumber) -> PeriodicForm:
     disc = b * b - 4 * a * c
     if disc <= 0 or isqrt(disc) ** 2 == disc:
         raise ValueError("not a quadratic irrational")
-    # decide which branch of the square root x is on
-    pivot = Fraction(-b, 2 * a)
-    bits = 8
-    while x.isolating.lo <= pivot <= x.isolating.hi:
-        x.refine_to(bits)
-        bits *= 2
-    plus_branch = x.isolating.lo > pivot
-    if plus_branch:
+    # the branch (-b + sqrt(disc)) / (2a) is the larger root exactly when a > 0
+    if _above_vertex(x) == (a > 0):
         P, Q = -b, 2 * a
     else:
         P, Q = b, -2 * a

@@ -33,7 +33,7 @@ from .orbit import (
     orbit_best_approximations,
     separation_bound,
 )
-from .polynomials import IntPolynomial, squarefree_part
+from .polynomials import IntPolynomial
 from .words import (
     SharedBlockWitness,
     find_mirror_repetitions,
@@ -142,13 +142,6 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "cfspectra"
 
 
-def _canonical_coeffs(p: IntPolynomial) -> tuple[int, ...]:
-    q = squarefree_part(p.primitive())
-    if q.coeffs[-1] < 0:
-        q = IntPolynomial.from_coeffs([-c for c in q.coeffs])
-    return q.coeffs
-
-
 def _convergents_digest(cf: CFExpansion) -> str:
     payload = json.dumps(convergents(cf)).encode()
     return hashlib.sha256(payload).hexdigest()
@@ -158,7 +151,7 @@ def cached_expand(x: AlgebraicNumber, depth: int, root_index: int, use_cache: bo
     """Expansion with a (minpoly, root, depth)-keyed file cache."""
     if not use_cache:
         return expand(x, depth), "off"
-    key_src = json.dumps([_canonical_coeffs(x.minpoly), root_index, depth])
+    key_src = json.dumps([x.minpoly.coeffs, root_index, depth])
     key = hashlib.sha256(key_src.encode()).hexdigest()
     path = cache_dir() / f"{key}.json"
     if path.exists():
@@ -455,8 +448,8 @@ def cmd_orbit(args, cfg) -> dict:
         alpha = _root(args, cfg, "2") if args.poly2 or args.poly2_file else None
         if cfg["bits"] < 1:
             raise InputError("--bits must be >= 1 for an orbit scan")
-        if alpha is not None and cfg["mode"] == "quadratic" and alpha.degree != 2:
-            raise InputError("quadratic mode needs a quadratic irrational --poly2")
+        if cfg["mode"] == "quadratic" and (alpha is None or alpha.degree != 2):
+            raise InputError("--mode quadratic needs a quadratic irrational --poly2")
         res = orbit_best_approximations(
             xi, alpha, cfg["height"], cfg["mode"], bits=cfg["bits"], min_norm=cfg["min_norm"]
         )

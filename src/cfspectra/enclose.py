@@ -44,16 +44,6 @@ def _from_iv(v) -> FInterval:
     return FInterval(_raw_to_fraction(a), _raw_to_fraction(b))
 
 
-def log_enclosure(x, prec: int = 96) -> FInterval:
-    """Enclosure of log(x) for x > 0 (FInterval or rational)."""
-    iv = _context()
-    iv.prec = prec
-    v = _to_iv(iv, x)
-    if v.a <= 0:
-        raise ValueError("log requires a positive argument")
-    return _from_iv(iv.log(v))
-
-
 def log_ratio_enclosure(num, den, prec: int = 96) -> FInterval:
     """Enclosure of log(num)/log(den); both arguments positive."""
     iv = _context()

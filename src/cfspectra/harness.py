@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from .algebraic import AlgebraicNumber
 from .cf import CFExpansion, expand, word_matrix
-from .enclose import log_enclosure
 from .errors import PrecisionExhausted
 from .intervals import FInterval
 from .matrices import Mat2
@@ -212,20 +211,3 @@ def check_growth_condition(ctx: PairContext, wt: SharedBlockWitness, delta, L) -
     s, t = L.numerator, L.denominator
     return t**v * (q_k * s_l) ** (v + u) < s**v * (q_km * s_lm) ** v
 
-
-def delta_from_L(M, L) -> FInterval:
-    """Enclosure of log(2) / (2 L log(M)) for M > 1."""
-    L = Fraction(L)
-    if L <= 0:
-        raise ValueError("L must be positive")
-    if isinstance(M, FInterval):
-        if M.lo <= 1:
-            raise ValueError("M must exceed 1")
-        log_m = log_enclosure(M)
-    else:
-        M = Fraction(M)
-        if M <= 1:
-            raise ValueError("M must exceed 1")
-        log_m = log_enclosure(M)
-    log2 = log_enclosure(Fraction(2))
-    return log2 / (2 * L * log_m)

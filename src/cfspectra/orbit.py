@@ -23,21 +23,23 @@ from .matrices import Mat2
 
 
 def quadratic_norm(
-    m: Mat2, alpha: AlgebraicNumber, bits: int = 64, *, conj: AlgebraicNumber | None = None
+    m: Mat2, alpha: AlgebraicNumber, *, conj: AlgebraicNumber | None = None
 ) -> FInterval:
     """Enclosure of |(c a + d)(c a^s + d) / (a - a^s)| for quadratic a.
 
     conj, when given, is alpha's conjugate (the other root of its minimal
-    polynomial) and is refined in place. The enclosures double their bits
-    until a - a^s excludes 0; past REFINE_HARD_CAP that is undecided.
+    polynomial). The enclosures are the cells of alpha and conj at the first
+    of 64, 128, ... bits where they are apart; past REFINE_HARD_CAP that is
+    undecided. alpha is refined in place, conj in place only up to 64 bits and
+    past that as a copy, so conj's cell depends on the level alone.
     """
-    if alpha.degree != 2:
-        raise ValueError("quadratic norm requires a quadratic irrational")
     if conj is None:
-        conj = quadratic_conjugate(alpha)
-    work = bits
+        conj = quadratic_conjugate(alpha)  # ValueError unless alpha is quadratic
+    work = 64
     while True:
         a = alpha.value_interval(work)
+        if work > 64:
+            conj = AlgebraicNumber(conj.minpoly, conj.isolating)
         s = conj.value_interval(work)
         num = (m.c * a + Fraction(m.d)) * (m.c * s + Fraction(m.d))
         den = a - s
@@ -105,14 +107,6 @@ class ApproxRecord:
 class OrbitScanResult:
     records: list[ApproxRecord] = field(default_factory=list)
     xi_in_orbit: list[Mat2] = field(default_factory=list)
-
-    def exceedances(self, eps: Fraction) -> dict:
-        """Records certified above the 1+eps and 2+eps exponent thresholds."""
-        eps = Fraction(eps)
-        return {
-            "above_1_plus_eps": [r for r in self.records if r.exponent.lo > 1 + eps],
-            "above_2_plus_eps": [r for r in self.records if r.exponent.lo > 2 + eps],
-        }
 
 
 def _xi_interval(xi, bits: int) -> FInterval:
@@ -273,45 +267,6 @@ def _image_candidates(alpha: AlgebraicNumber, height: int, bits: int, xi_mid: Fr
     return out
 
 
-class _RowNorms:
-    """quadratic_norm(m, alpha) as a fresh call returns it, with the conjugate
-    found once per scan (at the first norm) and the norm once per bottom row.
-
-    A fresh call finds the conjugate's cell apart from alpha's interval at 16,
-    32, ... bits and refines it to the 64-bit cell, which stays apart; when
-    the search ends at 16 or 32 bits, every call thus uses the same 64-bit cell
-    and the norm depends only on (c, d) and alpha's interval. A row's norm is
-    reused while alpha's interval is unchanged (an orbit-hit check may refine
-    alpha in between). A conjugate narrower than 2^-64 after the search
-    (conjugates closer than about 2^-30) gets no cache: a later search on a
-    narrower alpha may end sooner, so every later norm is a fresh call.
-    """
-
-    def __init__(self, alpha: AlgebraicNumber):
-        self.alpha = alpha
-        self.conj: AlgebraicNumber | None = None
-        self.fresh = False
-        self.rows: dict = {}  # (c, d) -> (alpha's interval, norm)
-
-    def norm(self, a: int, b: int, c: int, d: int) -> FInterval:
-        alpha = self.alpha
-        if self.fresh:
-            return quadratic_norm(Mat2(a, b, c, d), alpha)
-        if self.conj is None:
-            if alpha.degree != 2:
-                return quadratic_norm(Mat2(a, b, c, d), alpha)  # raises
-            self.conj = quadratic_conjugate(alpha)
-            if self.conj.isolating.width <= Fraction(1, 1 << 64):
-                self.fresh = True
-                return quadratic_norm(Mat2(a, b, c, d), alpha, conj=self.conj)
-        hit = self.rows.get((c, d))
-        if hit is not None and hit[0] == alpha.isolating:
-            return hit[1]
-        nrm = quadratic_norm(Mat2(a, b, c, d), alpha, conj=self.conj)
-        self.rows[c, d] = (alpha.isolating, nrm)
-        return nrm
-
-
 def orbit_best_approximations(
     xi,
     alpha: AlgebraicNumber | None,
@@ -328,17 +283,20 @@ def orbit_best_approximations(
     that provably cannot beat the running best skip the log enclosure, so
     the records are those of the unpruned scan.
     """
+    if mode not in ("classic", "quadratic"):
+        raise ValueError("mode must be 'classic' or 'quadratic'")
     if alpha is None:
+        if mode == "quadratic":
+            raise ValueError("quadratic mode needs a quadratic alpha")
         return rational_baseline_scan(xi, height, bits=bits, min_norm=min_norm)
     result = OrbitScanResult()
     xi_iv = _xi_interval(xi, bits)
     candidates = _image_candidates(alpha, height, bits, (xi_iv.lo + xi_iv.hi) / 2)
-    if mode not in ("classic", "quadratic"):
-        raise ValueError("mode must be 'classic' or 'quadratic'")
     x0, x1, xq = _over_common_den(xi_iv)
     best_hi = Fraction(0)
     best = 0.0
-    norms = _RowNorms(alpha)
+    conj = None  # alpha's conjugate, found at the first norm
+    norms = {}  # (c, d, alpha's interval before the call) -> norm; hit checks refine alpha
     for a, b, c, d, lo_n, lo_d, hi_n, hi_d in candidates:
         # xi_iv - beta = [x0 / xq - hi_n / hi_d, x1 / xq - lo_n / lo_d]
         e_lo = x0 * hi_d - hi_n * xq
@@ -354,7 +312,12 @@ def orbit_best_approximations(
                 result.xi_in_orbit.append(m)
             continue  # else: unresolved tiny distance; skip rather than overclaim
         if mode == "quadratic":
-            nrm: object = norms.norm(a, b, c, d)
+            key = (c, d, alpha.isolating.lo, alpha.isolating.hi)
+            nrm: object = norms.get(key)
+            if nrm is None:
+                if conj is None:
+                    conj = quadratic_conjugate(alpha)
+                nrm = norms[key] = quadratic_norm(Mat2(a, b, c, d), alpha, conj=conj)
             if not (nrm.hi <= height) or nrm.lo <= 1:
                 continue
             log2_norm = _log2_ratio(nrm.lo.numerator, nrm.lo.denominator)

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cfspectra.algebraic
 from cfspectra import (
     IntPolynomial,
+    PrecisionExhausted,
     Mat2,
     alg_equal,
     expand,
@@ -151,6 +153,24 @@ class TestEqualityConjugate:
         g = quadratic_conjugate(golden)
         iv = g.value_interval(64)  # (1 - sqrt(5))/2
         assert Fraction(-62, 100) < iv.lo and iv.hi < Fraction(-61, 100)
+
+    def test_conjugate_leaves_its_argument(self):
+        # 2^40 x^2 - 2^21 x - 1: roots (1 +- sqrt 2) / 2^20 isolated in [-4, 0]
+        # and [0, 4]; the second holds the vertex 2^-20, so a sign test decides
+        for i in (0, 1):
+            roots = isolate_real_roots(IntPolynomial.from_coeffs([-1, -(1 << 21), 1 << 40]))
+            x, before = roots[i], roots[i].isolating
+            assert (before.lo <= Fraction(1, 1 << 20) <= before.hi) == (i == 1)
+            c = quadratic_conjugate(x)
+            assert x.isolating == before
+            assert c.isolating == roots[1 - i].isolating
+
+    def test_equal_undecided_at_cap(self, monkeypatch):
+        # the two roots' intervals share the end 0 until 32 bits
+        monkeypatch.setattr(cfspectra.algebraic, "REFINE_HARD_CAP", 16)
+        neg, pos = isolate_real_roots(IntPolynomial.from_coeffs([-1, -(1 << 21), 1 << 40]))
+        with pytest.raises(PrecisionExhausted):
+            alg_equal(neg, pos)
 
     def test_conjugate_requires_quadratic(self, cbrt2):
         with pytest.raises(ValueError):

@@ -21,6 +21,8 @@ from cfspectra import (
     word_matrix,
 )
 
+from cfspectra.algebraic import AlgebraicNumber
+
 from conftest import mul, root_of
 
 words = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=20)
@@ -187,6 +189,11 @@ class TestPeriods:
     def test_rejects_non_quadratic(self, cbrt2):
         with pytest.raises(ValueError):
             detect_period(cbrt2)
+
+    def test_negative_leading_coefficient(self, sqrt2):
+        # sqrt(2) as the root of 2 - x^2 used to get the period of -sqrt(2)
+        x = AlgebraicNumber(IntPolynomial.from_coeffs([2, 0, -1]), sqrt2.isolating)
+        assert detect_period(x) == detect_period(sqrt2)
 
 
 class TestIdentities:

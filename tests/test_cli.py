@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import cfspectra.algebraic
 from cfspectra import cli
 from cfspectra.cli import main
 
@@ -53,6 +55,17 @@ class TestExpand:
             rep.pop("digest")
             rep["config"].pop("no_cache")
         assert rep1 == rep2 == rep3
+
+    def test_cache_key_is_the_minimal_polynomial(self, capsys, cache_tmp):
+        # the same root given three ways shares one entry, named as before
+        outcomes = []
+        for poly in ("-2,0,0,1", "2,0,0,-1", "-6,0,0,3"):
+            code, rep = run(capsys, "expand", f"--poly={poly}", "--depth", "10")
+            assert code == 0
+            outcomes.append(rep["result"]["cache"])
+        assert outcomes == ["miss", "hit", "hit"]
+        key = hashlib.sha256(json.dumps([[-2, 0, 0, 1], -1, 10]).encode()).hexdigest()
+        assert [p.name for p in (cache_tmp / "cache").iterdir()] == [f"{key}.json"]
 
     def test_integer_root(self, capsys):
         # (x - 3)(x^2 + 3): the real root is exactly the integer 3
@@ -283,6 +296,21 @@ class TestConfigAndErrors:
         assert main(argv) == 1
         assert main([*argv[:-1], "classic"]) == 0
 
+    def test_orbit_quadratic_mode_needs_poly2(self, capsys):
+        # used to exit 0 with the rational baseline's records
+        argv = ["orbit", "--kind", "scan", "--poly=-2,0,0,1", "--height", "5"]
+        assert main([*argv, "--mode", "quadratic"]) == 1
+        err = capsys.readouterr().err
+        assert "--mode quadratic" in err and "--poly2" in err
+        assert main(argv) == 0
+
+    def test_orbit_precision_cap_exits_2(self, capsys, monkeypatch):
+        # a Moebius image not isolated at the cap used to end in a traceback
+        monkeypatch.setattr(cfspectra.algebraic, "REFINE_HARD_CAP", 32)
+        argv = ["orbit", "--kind", "scan", "--poly=-1,-2,1", "--poly2=-2,0,1", "--height", "3"]
+        assert main(argv) == 2
+        assert "undecided at precision cap" in capsys.readouterr().err
+
     def test_missing_subcommand_args(self, capsys):
         assert main(["expand"]) == 1
 
@@ -461,6 +489,22 @@ GOLDEN = [
      "2fe05de74f3dd24d2ad443485fbf89b9f6c41739357bced79b319dc438a9ab6e"),
     ("detect --kind repetition --word @w.txt --L 4",
      "842f0976e95252be4857c3befca9dd5c9a8d991056be9d3d40ce90bd6199a584"),
+    # quadratic alphas whose branch needs the vertex test: a coarse alpha,
+    # rational roots, close conjugates, and orbit hits that refine alpha
+    ("orbit --kind scan --poly=-3,0,0,1 --poly2=-7,2,3 --height 9 --mode quadratic --bits 1",
+     "20d60c4c01215db0bae09692e613748639384305bcdb96125b4aaf2bea55ba4b"),
+    ("orbit --kind scan --poly=-3,0,0,1 --poly2=-3,5,2 --height 9 --mode quadratic --bits 8",
+     "f81af7393873b8a9c7df74d969d131e84e6b423b66f4c498311a1c1f4c150d40"),
+    ("orbit --kind scan --poly=-3,0,0,1 --poly2=-1,-2097152,1099511627776 --height 9 "
+     "--mode quadratic --bits 8",
+     "f3472ebf2870cdf025fdafb5727b7a2fec8b15368f7df07c0ad36ac35ac7c9ab"),
+    ("orbit --kind scan --poly=-1,-2,1 --poly2=-2,0,1 --height 4 --mode quadratic --bits 8",
+     "fc5e59f08581d9744f2bde25fba73be3a7c357433988c2840d8afd1d4a41fdbd"),
+    # the vertex lies in the root's isolating interval
+    ("period --poly=-7,2,3 --root-index 0",
+     "bfcf65a7064265dcf90aceb47015ab97fe3bbdb12d4fc7ed52c4fcabd8b083c1"),
+    ("period --poly=-1,-20,5 --root-index 1",
+     "7155d50818ffc2c509c961134572bb142204cd699c46ea6a9aeee91883ea8d89"),
 ]
 
 

@@ -4,14 +4,12 @@ from fractions import Fraction
 import pytest
 
 from cfspectra import (
-    FInterval,
     Mat2,
     PairContext,
     PrecisionExhausted,
     check_growth_condition,
     check_L1_smallness,
     check_transport_identity,
-    delta_from_L,
     eval_linear_forms,
     find_shared_blocks,
     l1_smallness_report,
@@ -139,22 +137,3 @@ class TestGrowthCondition:
         with pytest.raises(ValueError):
             check_growth_condition(ctx, SharedBlockWitness(1, 1, 2), 0, 1)
 
-
-class TestDeltaFromL:
-    def test_m_equals_2(self):
-        enc = delta_from_L(2, Fraction(1, 2))
-        assert enc.contains(1)
-
-    def test_m_4_l_1(self):
-        enc = delta_from_L(4, 1)
-        assert enc.contains(Fraction(1, 4))
-
-    def test_interval_m(self):
-        enc = delta_from_L(FInterval(Fraction(2), Fraction(4)), 1)
-        assert enc.lo < Fraction(1, 4) <= Fraction(1, 2) < enc.hi
-
-    def test_rejects_bad_m(self):
-        with pytest.raises(ValueError):
-            delta_from_L(1, 1)
-        with pytest.raises(ValueError):
-            delta_from_L(2, 0)

@@ -3,9 +3,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import mp
 
-from cfspectra import FInterval, Mat2, log_enclosure, log_ratio_enclosure
+from cfspectra import FInterval, Mat2, log_ratio_enclosure
 
 rationals = st.fractions(
     min_value=Fraction(-100), max_value=Fraction(100), max_denominator=50
@@ -82,27 +81,12 @@ class TestMat2:
         assert m.norm() == 4
 
 
-def _mpf(frac):
-    return mp.mpf(frac.numerator) / mp.mpf(frac.denominator)
-
-
 class TestLogEnclosures:
-    @pytest.mark.parametrize("x", [Fraction(2), Fraction(1, 3), Fraction(10, 7), 5])
-    def test_log_contains_truth(self, x):
-        enc = log_enclosure(x)
-        assert enc.lo < enc.hi
-        mp.prec = 200
-        truth = mp.log(_mpf(Fraction(x)))
-        assert _mpf(enc.lo) < truth < _mpf(enc.hi)
-
     def test_log_positive_required(self):
         with pytest.raises(ValueError):
-            log_enclosure(Fraction(-1))
-
-    def test_log_interval_argument(self):
-        enc = log_enclosure(iv(2, 4))
-        mp.prec = 200
-        assert _mpf(enc.lo) <= mp.log(2) and mp.log(4) <= _mpf(enc.hi)
+            log_ratio_enclosure(Fraction(-1), Fraction(2))
+        with pytest.raises(ValueError):
+            log_ratio_enclosure(Fraction(2), iv(0, 4))
 
     def test_log_ratio(self):
         enc = log_ratio_enclosure(Fraction(8), Fraction(2))
@@ -131,9 +115,6 @@ class TestLogEnclosures:
             return FInterval(*(Fraction(*mpmath.libmp.to_rational(end)) for end in v._mpi_))
 
         monkeypatch.setattr(mpmath.iv, "prec", prec)
-        for x in [Fraction(2), Fraction(1, 3), Fraction(10, 7), 5, iv(2, 4)]:
-            want = to_finterval(mpmath.iv.log(to_iv(x)))
-            assert log_enclosure(x, prec) == want
         for num, den in [(8, 2), (10, 2), (iv(1000, 1001), Fraction(7, 3))]:
             want = to_finterval(mpmath.iv.log(to_iv(num)) / mpmath.iv.log(to_iv(den)))
             assert log_ratio_enclosure(num, den, prec) == want

@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import cfspectra.orbit
 from cfspectra import (
@@ -11,6 +11,7 @@ from cfspectra import (
     Mat2,
     complete_unimodular,
     enumerate_bottom_rows,
+    detect_period,
     expand,
     growth_gap_scan,
     isolate_real_roots,
@@ -19,13 +20,12 @@ from cfspectra import (
     quadratic_norm,
     separation_bound,
 )
-from cfspectra.algebraic import AlgebraicNumber, alg_equal, quadratic_conjugate
+from cfspectra.algebraic import AlgebraicNumber, _above_vertex, alg_equal, quadratic_conjugate
 from cfspectra.errors import PrecisionExhausted
 from cfspectra.orbit import (
     ApproxRecord,
     OrbitScanResult,
     _exponent,
-    _RowNorms,
     _small_d,
     _xi_interval,
     rational_baseline_scan,
@@ -145,16 +145,14 @@ class TestScan:
         for r in res.records:
             assert r.norm.hi <= 10
 
-    def test_exceedances_split(self, sqrt2, golden):
-        res = orbit_best_approximations(sqrt2, golden, 15)
-        ex = res.exceedances(Fraction(1, 2))
-        above1 = set(id(r) for r in ex["above_1_plus_eps"])
-        above2 = set(id(r) for r in ex["above_2_plus_eps"])
-        assert above2 <= above1
-
     def test_bad_mode(self, sqrt2, golden):
         with pytest.raises(ValueError):
             orbit_best_approximations(sqrt2, golden, 5, mode="bogus")
+
+    def test_quadratic_mode_needs_alpha(self, sqrt2):
+        # used to return the rational baseline's records
+        with pytest.raises(ValueError):
+            orbit_best_approximations(sqrt2, None, 5, mode="quadratic")
 
 
 class TestSeparation:
@@ -198,12 +196,30 @@ class TestGapsAndNorms:
 # ---------------------------------------------------- equivalence referee
 # The scans as they were before pruning and integer arithmetic: every
 # candidate pays a log enclosure on FInterval images, and every norm finds
-# the conjugate afresh. The scans under test must return the same records in
-# the same order, with the same enclosures, and the same orbit hits.
+# the conjugate afresh by the interval search the library used before its
+# vertex test. The scans under test must return the same records in the same
+# order, with the same enclosures, and the same orbit hits.
+
+
+def frozen_quadratic_conjugate(x):
+    """The other root of x's quadratic, by separating intervals at 16, 32, ...
+    bits; refines x in place."""
+    roots = isolate_real_roots(x.minpoly)
+    bits = 16
+    while True:
+        x.refine_to(bits)
+        for r in roots:
+            r.refine_to(bits)
+        apart = [r for r in roots
+                 if r.isolating.hi < x.isolating.lo or r.isolating.lo > x.isolating.hi]
+        if apart:
+            (conj,) = apart
+            return conj
+        bits *= 2
 
 
 def oracle_quadratic_norm(m, alpha, bits=64):
-    conj = quadratic_conjugate(alpha)
+    conj = frozen_quadratic_conjugate(alpha)
     work = bits
     while True:
         a = alpha.value_interval(work)
@@ -369,31 +385,163 @@ class TestScanMatchesUnpruned:
         assert _outcome(orbit_best_approximations, build(), None, height, **kwargs) == expected
 
 
-class TestRowNorms:
-    """Norms reused per bottom row equal fresh quadratic_norm calls on the
-    same alpha, also after alpha is refined between two calls."""
+# ------------------------------------------------ quadratic branch referee
+# The vertex test against the interval searches it replaced: the conjugate,
+# the norm with one conjugate for many rows while alpha is refined in
+# between, the scan that reuses a norm per row, and detect_period's branch.
+# Quadratics come with close conjugates, rational roots (dyadic or not) and
+# coefficients up to 2^60; alpha at its isolating interval or at 1-256 bits.
 
-    @pytest.mark.parametrize(
-        "poly",
-        [
-            [-2, 0, 1],
-            [-7, 2, 3],
-            # roots (1 +- sqrt 2) / 2^70: the conjugate search ends at 128 bits
-            # while alpha is coarse, at 64 once alpha is fine
-            [-1, -(1 << 71), 1 << 140],
-        ],
+
+def frozen_above_vertex(x):
+    """detect_period's branch as it was decided: refine x in place until its
+    interval leaves the vertex."""
+    _, b, a = x.minpoly.coeffs
+    pivot = Fraction(-b, 2 * a)
+    bits = 8
+    while x.isolating.lo <= pivot <= x.isolating.hi:
+        x.refine_to(bits)
+        bits *= 2
+    return x.isolating.lo > pivot
+
+
+def frozen_detect_period(x):
+    """detect_period with the branch decided by frozen_above_vertex."""
+    c0, c1, c2 = x.minpoly.coeffs
+    a, b, c = c2, c1, c0
+    disc = b * b - 4 * a * c
+    if disc <= 0 or isqrt(disc) ** 2 == disc:
+        raise ValueError("not a quadratic irrational")
+    P, Q = (-b, 2 * a) if frozen_above_vertex(x) else (b, -2 * a)
+    sq = isqrt(disc)
+    seen = {}
+    word = []
+    while (P, Q) not in seen:
+        seen[(P, Q)] = len(word)
+        an = (P + sq) // Q if Q > 0 else -((P + sq) // (-Q)) - 1
+        word.append(an)
+        P = an * Q - P
+        Q = (disc - P * P) // Q
+    start = seen[(P, Q)]
+    pre, cycle = word[:start], word[start:]
+    n = len(cycle)
+    for d in range(1, n + 1):
+        if n % d == 0 and cycle == cycle[:d] * (n // d):
+            cycle = cycle[:d]
+            break
+    while pre and pre[-1] == cycle[-1]:
+        pre.pop()
+        cycle = [cycle[-1]] + cycle[:-1]
+    return tuple(pre), tuple(cycle)
+
+
+BRANCH_QUADRATICS = [
+    [-1, -(1 << 21), 1 << 40], [-1, -(1 << 71), 1 << 140],  # close conjugates
+    [-3, 5, 2], [-1, 0, 4], [1, -4, 3], [-2, 1, 3],  # rational roots
+    [-7, 2, 3], [-1, -20, 5], [-2, 0, 1],
+]
+
+
+@st.composite
+def quadratics(draw):
+    kind = draw(st.sampled_from(["listed", "small", "large", "reducible"]))
+    if kind == "listed":
+        return draw(st.sampled_from(BRANCH_QUADRATICS))
+    if kind == "reducible":
+        # (q0 x - p0)(q1 x - p1) with distinct roots
+        q0, q1 = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        p0, p1 = draw(st.integers(-20, 20)), draw(st.integers(-20, 20))
+        assume(p0 * q1 != p1 * q0)
+        return [p0 * p1, -(p0 * q1 + p1 * q0), q0 * q1]
+    top = 30 if kind == "small" else 1 << 60
+    coeff = st.integers(-top, top)
+    c, b, a = draw(coeff), draw(coeff), draw(st.integers(1, top))
+    assume(b * b - 4 * a * c > 0)
+    return [c, b, a]
+
+
+def _raised_or(f, *args):
+    try:
+        return f(*args)
+    except ValueError:
+        return "ValueError"
+
+
+def _referee(poly, index, bits, rows) -> bool:
+    """Check the vertex test's users against the frozen searches on the root
+    at `bits` (None: as isolated). True when the vertex is in its interval."""
+
+    def fresh():
+        x = _nth_root(poly, index)
+        if bits is not None:
+            x.refine_to(bits)
+        return x
+
+    x = fresh()
+    c, b, a = x.minpoly.coeffs
+    before = x.isolating
+    conj = quadratic_conjugate(x)
+    # the frozen search's cell lies inside one isolating interval only
+    old = frozen_quadratic_conjugate(fresh()).isolating
+    assert conj.isolating.lo <= old.lo and old.hi <= conj.isolating.hi
+    assert _above_vertex(x) == frozen_above_vertex(fresh())
+    if b * b - 4 * a * c < 10**8:  # periods shorter than 10^4
+        form = _raised_or(detect_period, x)
+        if form != "ValueError":
+            form = form.preperiod, form.period
+        assert form == _raised_or(frozen_detect_period, fresh())
+    assert x.isolating == before  # neither refines its argument
+    # one conjugate for every row, as in the scan; each norm equals a fresh
+    # call of the old search on a number in the same state
+    ref = fresh()
+    for row_c, row_d, refine in rows:
+        m = Mat2(1, 0, row_c, row_d)
+        assert quadratic_norm(m, x, conj=conj) == oracle_quadratic_norm(m, ref)
+        x.refine_to(refine)
+        ref.refine_to(refine)
+    return before.lo <= Fraction(-b, 2 * a) <= before.hi
+
+
+class TestQuadraticBranch:
+    def test_matches_frozen_searches(self):
+        inside = []
+
+        @settings(max_examples=120, deadline=None)
+        @given(
+            poly=quadratics(),
+            index=st.integers(0, 1),
+            bits=st.integers(1, 256),
+            rows=st.lists(
+                st.tuples(st.integers(0, 9), st.integers(-9, 9), st.integers(1, 256)),
+                min_size=1, max_size=4,
+            ),
+        )
+        def check(poly, index, bits, rows):
+            for level in (None, bits):
+                inside.append(_referee(poly, index, level, rows))
+
+        check()
+        # the vertex in the interval is the case the side test cannot decide;
+        # about half the isolating intervals hold it
+        assert 5 * sum(inside) >= len(inside)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        poly=quadratics(),
+        index=st.integers(0, 1),
+        xi_poly=st.sampled_from(XI_POLYS),
+        hit=st.one_of(st.none(), st.integers(-2, 2)),
+        height=st.integers(1, 3),
+        bits=st.integers(1, 256),
     )
-    def test_match_fresh_calls(self, poly):
-        def fresh():
-            x = root_of(poly)
-            x.refine_to(8)
-            return x
+    def test_scan_reuses_row_norms(self, poly, index, xi_poly, hit, height, bits):
+        # an orbit hit makes alg_equal refine alpha between two rows
+        def build():
+            alpha = _nth_root(poly, index)
+            if hit is None:
+                return _nth_root(xi_poly, 0), alpha
+            return moebius_apply(Mat2(1, hit, 0, 1), _nth_root(poly, index)), alpha
 
-        alpha, ref = fresh(), fresh()
-        norms = _RowNorms(alpha)
-        for c, d in [(1, 1), (3, -4), (1, 1), (0, 1)]:
-            assert norms.norm(2, 1, c, d) == oracle_quadratic_norm(Mat2(2, 1, c, d), ref)
-        alpha.refine_to(1000)
-        ref.refine_to(1000)
-        for c, d in [(1, 1), (3, -4), (2, 3)]:
-            assert norms.norm(2, 1, c, d) == oracle_quadratic_norm(Mat2(2, 1, c, d), ref)
+        args = (height, "quadratic")
+        expected = _outcome(oracle_scan, *build(), *args, bits=bits)
+        assert _outcome(orbit_best_approximations, *build(), *args, bits=bits) == expected
