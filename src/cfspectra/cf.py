@@ -108,34 +108,86 @@ def _rational_cf(r: Fraction, depth: int) -> tuple[int, list[int], bool]:
     return a0, quotients, n == 0
 
 
+class _SharedPrefix:
+    """The letters two endpoints' exact expansions share, with the last two
+    convergents p_{k-2}, p_{k-1}, q_{k-2}, q_{k-1} of those k letters.
+
+    Kept between refinements: the refined endpoints lie between the old ones,
+    so they share the same k letters, and their expansions resume at letter k.
+    """
+
+    def __init__(self):
+        self.letters: list[int] = []
+        self.pq = (0, 1, 1, 0)
+
+    def _tail(self, end: Fraction) -> tuple[int, int] | None:
+        """t with end = [letters..., t], as (num, den > 0); None unless t > 1,
+        that is, unless end lies inside the prefix's cylinder."""
+        p2, p1, q2, q1 = self.pq
+        u, v = end.numerator, end.denominator
+        num, den = q2 * u - p2 * v, p1 * v - q1 * u
+        if den < 0:
+            num, den = -num, -den
+        if self.letters and not 0 < den < num:
+            return None
+        return num, den
+
+    def extend(self, lo: Fraction, hi: Fraction, depth: int) -> tuple[int, int] | None:
+        """Grow the prefix to the letters lo and hi share, at most depth + 1.
+
+        Returns the two letters at the position where they part, or None
+        when depth + 1 letters agree.
+        """
+        tails = self._tail(lo), self._tail(hi)
+        if None in tails:
+            self.__init__()  # an endpoint on a cylinder boundary: start over
+            tails = self._tail(lo), self._tail(hi)
+        (na, da), (nb, db) = tails
+        letters = self.letters
+        p2, p1, q2, q1 = self.pq
+        parted = None
+        while len(letters) <= depth:
+            a, ra = divmod(na, da)
+            b, rb = divmod(nb, db)
+            # the last letter of a finite expansion is ambiguous ([..., a] is
+            # [..., a - 1, 1]), so neither endpoint vouches for it
+            if a != b or not ra or not rb:
+                parted = a, b
+                break
+            letters.append(a)
+            p2, p1, q2, q1 = p1, a * p1 + p2, q1, a * q1 + q2
+            na, da, nb, db = da, ra, db, rb
+        self.pq = p2, p1, q2, q1
+        return parted
+
+    def value_with(self, c: int) -> Fraction:
+        """The rational [letters..., c]."""
+        p2, p1, q2, q1 = self.pq
+        return Fraction(c * p1 + p2, c * q1 + q2)
+
+
 def expand(x: AlgebraicNumber, depth: int) -> CFExpansion:
     """First `depth` certified partial quotients of x.
 
     Irrational x is refined until both endpoints of its isolating interval
     expand to a common prefix of depth + 1 letters. Cylinders of a prefix are
-    intervals, so x, lying between the endpoints, shares that prefix.
+    intervals, so x, lying between the endpoints, shares that prefix. Each
+    refinement resumes the endpoints' joint expansion where the last one
+    parted.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     known = -1
+    prefix = _SharedPrefix()
     while (rat := x.rational_value()) is None:
-        (a0, qa, ta), (b0, qb, tb) = (
-            _rational_cf(end, depth) for end in (x.isolating.lo, x.isolating.hi)
-        )
-        wa, wb = [a0, *qa], [b0, *qb]
-        # the last letter of a finite expansion is ambiguous ([..., a] is
-        # [..., a - 1, 1]), so neither endpoint vouches for it
-        usable = min(len(wa) - ta, len(wb) - tb)
-        n = 0
-        while n < usable and wa[n] == wb[n]:
-            n += 1
-        if n > depth:
-            return CFExpansion(a0, qa, source=x)
+        parted = prefix.extend(x.isolating.lo, x.isolating.hi, depth)
+        if parted is None:
+            return CFExpansion(prefix.letters[0], prefix.letters[1:], source=x)
+        n = len(prefix.letters)
         if n == known:
             # for rational x = [c0; ..., cn] the endpoints' words agree
             # before cn and read cn and cn - 1 there, so the prefix stalls
-            letters = wa[:n] + [max(wa[n], wb[n])]
-            rat = CFExpansion(letters[0], letters[1:]).value()
+            rat = prefix.value_with(max(parted))
             if _equals_rational(x, rat):
                 break
         known = n

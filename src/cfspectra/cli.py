@@ -142,40 +142,56 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "cfspectra"
 
 
-def _convergents_digest(cf: CFExpansion) -> str:
-    payload = json.dumps(convergents(cf)).encode()
-    return hashlib.sha256(payload).hexdigest()
+def _word_digest(a0: int, quotients: list[int], terminated: bool) -> str:
+    return hashlib.sha256(json.dumps([a0, quotients, terminated]).encode()).hexdigest()
+
+
+def _cached_expansion(path: Path, x: AlgebraicNumber) -> CFExpansion | None:
+    """The entry's expansion of x if it is well formed and matches its digest."""
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None  # absent, unreadable or truncated
+    if not isinstance(data, dict):
+        return None
+    a0, qs, term = data.get("a0"), data.get("quotients"), data.get("terminated")
+    if not (
+        type(a0) is int
+        and type(qs) is list
+        and all(type(a) is int and a >= 1 for a in qs)
+        and type(term) is bool
+        and data.get("word_digest") == _word_digest(a0, qs, term)
+    ):
+        return None
+    return CFExpansion(a0, qs, source=x, terminated=term)
 
 
 def cached_expand(x: AlgebraicNumber, depth: int, root_index: int, use_cache: bool):
-    """Expansion with a (minpoly, root, depth)-keyed file cache."""
+    """Expansion with a (minpoly, root, depth)-keyed file cache. An entry
+    that is malformed or fails its digest is recomputed and rewritten."""
     if not use_cache:
         return expand(x, depth), "off"
     key_src = json.dumps([x.minpoly.coeffs, root_index, depth])
     key = hashlib.sha256(key_src.encode()).hexdigest()
     path = cache_dir() / f"{key}.json"
-    if path.exists():
-        try:
-            data = json.loads(path.read_text())
-            cf = CFExpansion(
-                data["a0"], list(data["quotients"]), source=x, terminated=data["terminated"]
-            )
-            if _convergents_digest(cf) == data["convergents_digest"]:
-                return cf, "hit"
-        except (json.JSONDecodeError, KeyError, ValueError):
-            pass  # corrupt entry; fall through and recompute
+    cf = _cached_expansion(path, x)
+    if cf is not None:
+        return cf, "hit"
     cf = expand(x, depth)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(
-            {
-                "a0": cf.a0,
-                "quotients": cf.quotients,
-                "terminated": cf.terminated,
-                "convergents_digest": _convergents_digest(cf),
-            }
-        )
-    )
+    entry = {
+        "a0": cf.a0,
+        "quotients": cf.quotients,
+        "terminated": cf.terminated,
+        "word_digest": _word_digest(cf.a0, cf.quotients, cf.terminated),
+    }
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(entry))
+    except OSError as e:
+        raise InputError(
+            f"cannot write the expansion cache ({e}); point CFSPECTRA_CACHE_DIR "
+            "at a writable directory or pass --no-cache"
+        ) from None
     return cf, "miss"
 
 

@@ -21,7 +21,7 @@ from cfspectra import (
     word_matrix,
 )
 
-from cfspectra.algebraic import AlgebraicNumber
+from cfspectra.algebraic import AlgebraicNumber, _equals_rational
 
 from conftest import mul, root_of
 
@@ -48,6 +48,93 @@ def euclid(r: Fraction, depth: int) -> tuple[tuple[int, ...], bool]:
         word.append(floor(r))
         rest = r - word[-1]
     return tuple(word), rest == 0
+
+
+def _rational_cf(r: Fraction, depth: int) -> tuple[int, list[int], bool]:
+    n, d = r.numerator, r.denominator
+    a0, n = divmod(n, d)
+    quotients: list[int] = []
+    while n and len(quotients) < depth:
+        a, rem = divmod(d, n)
+        quotients.append(a)
+        d, n = n, rem
+    return a0, quotients, n == 0
+
+
+def expand_by_full_rounds(x: AlgebraicNumber, depth: int) -> CFExpansion:
+    """`expand` as it was before the endpoints' expansion was resumed: each
+    round expands both endpoints from scratch to `depth` letters."""
+    known = -1
+    while (rat := x.rational_value()) is None:
+        (a0, qa, ta), (b0, qb, tb) = (
+            _rational_cf(end, depth) for end in (x.isolating.lo, x.isolating.hi)
+        )
+        wa, wb = [a0, *qa], [b0, *qb]
+        usable = min(len(wa) - ta, len(wb) - tb)
+        n = 0
+        while n < usable and wa[n] == wb[n]:
+            n += 1
+        if n > depth:
+            return CFExpansion(a0, qa, source=x)
+        if n == known:
+            letters = wa[:n] + [max(wa[n], wb[n])]
+            rat = CFExpansion(letters[0], letters[1:]).value()
+            if _equals_rational(x, rat):
+                break
+        known = n
+        w = x.isolating.width
+        bits = max(64, 2 * (w.denominator.bit_length() - w.numerator.bit_length()))
+        if bits > cfspectra.cf.PRECISION_CAP_BITS:
+            raise PrecisionExhausted("expansion undecided at precision cap")
+        x.refine_to(bits)
+    a0, qs, term = _rational_cf(rat, depth)
+    return CFExpansion(a0, qs, source=x, terminated=term)
+
+
+def _record_refinements(x: AlgebraicNumber) -> list[int]:
+    """The list that each later x.refine_to(bits) call appends its bits to."""
+    bits = []
+    refine = x.refine_to
+
+    def recorded(b):
+        bits.append(b)
+        return refine(b)
+
+    x.refine_to = recorded
+    return bits
+
+
+def _times_linear(coeffs, r: Fraction) -> IntPolynomial:
+    linear = IntPolynomial.from_coeffs([-r.numerator, r.denominator])
+    return mul(IntPolynomial.from_coeffs(coeffs), linear)
+
+
+def _nonconstant(coeffs) -> bool:
+    return any(coeffs[1:])
+
+
+BIG = 1 << 40
+expansion_inputs = st.one_of(
+    # (x - r) f(x) with an integer, dyadic or other rational root r
+    st.builds(
+        _times_linear,
+        st.sampled_from(IRREDUCIBLE),
+        st.one_of(
+            st.integers(min_value=-9, max_value=9).map(Fraction),
+            st.builds(Fraction, st.integers(-99, 99), st.sampled_from([2, 4, 8, 64])),
+            st.fractions(min_value=-9, max_value=9, max_denominator=30),
+        ),
+    ),
+    # quadratics, many of them irrational
+    st.lists(st.integers(-60, 60), min_size=2, max_size=2)
+    .flatmap(lambda c: st.integers(1, 60).map(lambda a: [*c, a]))
+    .map(IntPolynomial.from_coeffs),
+    # degree 2-5 with 40-bit coefficients
+    st.integers(2, 5)
+    .flatmap(lambda d: st.lists(st.integers(-BIG, BIG), min_size=d + 1, max_size=d + 1))
+    .filter(_nonconstant)
+    .map(IntPolynomial.from_coeffs),
+)
 
 
 class TestExpansion:
@@ -109,6 +196,47 @@ class TestExpansion:
             else:
                 other = expand(next(alone), depth)
                 assert (cf.word(), cf.terminated) == (other.word(), False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(poly=expansion_inputs, depth=st.integers(min_value=0, max_value=300))
+    def test_matches_full_rounds(self, poly, depth):
+        # the resumed joint expansion against every round expanding both
+        # endpoints from scratch: same word, same refinements, same interval
+        for index in range(len(isolate_real_roots(poly))):
+            runs = []
+            for expander in (expand, expand_by_full_rounds):
+                x = isolate_real_roots(poly)[index]
+                bits = _record_refinements(x)
+                try:
+                    cf = expander(x, depth)
+                    outcome = (cf.word(), cf.terminated)
+                except PrecisionExhausted:
+                    outcome = "undecided"
+                runs.append((outcome, bits, x.isolating))
+            assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("lo, hi, shared", [
+        (Fraction(11, 8), Fraction(3, 2), [1]),  # [1; 2, 1, 2] and [1; 2]
+        (Fraction(7, 5), Fraction(24, 17), [1, 2]),  # [1; 2, 2] and [1; 2, 2, 3]
+    ])
+    def test_last_letter_of_an_endpoint_is_not_shared(self, lo, hi, shared):
+        # [..., a] is also [..., a - 1, 1], so neither endpoint vouches for its last letter
+        prefix = cfspectra.cf._SharedPrefix()
+        assert prefix.extend(lo, hi, 10) is not None
+        assert prefix.letters == shared
+
+    @pytest.mark.parametrize("lo, hi", [
+        (Fraction(4, 3), Fraction(7, 5)),  # 4/3 = [1; 2, 1]: the tail past [1; 2] is 1
+        (Fraction(7, 5), Fraction(3, 2)),  # 3/2 = [1; 2]: no tail past [1; 2]
+    ])
+    def test_endpoint_on_a_cylinder_boundary_restarts(self, lo, hi):
+        # 7/5 = [1; 2, 2] and 17/12 = [1; 2, 2, 2] leave the prefix [1; 2]
+        kept = cfspectra.cf._SharedPrefix()
+        assert kept.extend(Fraction(7, 5), Fraction(17, 12), 10) == (2, 2)
+        assert kept.letters == [1, 2]
+        fresh = cfspectra.cf._SharedPrefix()
+        assert kept.extend(lo, hi, 10) == fresh.extend(lo, hi, 10)
+        assert (kept.letters, kept.pq) == (fresh.letters, fresh.pq) == ([1], (1, 1, 0, 1))
 
 
 class TestConvergents:

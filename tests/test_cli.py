@@ -114,6 +114,74 @@ class TestExpand:
         assert rep1["digest"] == rep2["digest"]
 
 
+def _old_format(entry: dict) -> dict:
+    """The entry as earlier versions wrote it: a digest of every convergent."""
+    word = cli.CFExpansion(entry["a0"], entry["quotients"])
+    digest = hashlib.sha256(json.dumps(cli.convergents(word)).encode()).hexdigest()
+    return {**{k: entry[k] for k in ("a0", "quotients", "terminated")},
+            "convergents_digest": digest}
+
+
+class TestCache:
+    EXPAND = ("expand", "--poly=-2,0,0,1", "--depth", "10")
+    WORD = (1, [3, 1, 5, 1, 1, 4, 1, 1, 8, 1])
+
+    def expand(self, capsys):
+        code, rep = run(capsys, *self.EXPAND)
+        assert code == 0
+        result = rep["result"]
+        assert (result["a0"], result["quotients"], result["terminated"]) == (*self.WORD, False)
+        return result["cache"]
+
+    # each wrong shape comes with a digest of that shape, so the shape check
+    # alone has to refuse it
+    @pytest.mark.parametrize("shape", [
+        {"quotients": "3151"},
+        {"quotients": None},
+        {"quotients": [3, 0, 5]},
+        {"a0": "1"},
+        {"a0": True},
+        {"terminated": "no"},
+    ], ids=["string-quotients", "null-quotients", "letter-zero", "string-a0", "bool-a0",
+            "string-terminated"])
+    def test_malformed_entry_is_recomputed(self, capsys, cache_tmp, shape):
+        def damage(entry, text):
+            entry = {**entry, **shape}
+            word = entry["a0"], entry["quotients"], entry["terminated"]
+            return json.dumps({**entry, "word_digest": cli._word_digest(*word)})
+
+        self.check_recomputed(capsys, cache_tmp, damage)
+
+    @pytest.mark.parametrize("damage", [
+        lambda entry, text: "[1, 2]",
+        lambda entry, text: json.dumps({**entry, "quotients": [3, 1, 6, 1, 1, 4, 1, 1, 8, 1]}),
+        lambda entry, text: text[: len(text) // 2],
+        lambda entry, text: "\udcff",
+        lambda entry, text: json.dumps(_old_format(entry)),
+    ], ids=["list", "tampered-quotient", "truncated", "not-utf8", "old-format"])
+    def test_damaged_entry_is_recomputed(self, capsys, cache_tmp, damage):
+        self.check_recomputed(capsys, cache_tmp, damage)
+
+    def check_recomputed(self, capsys, cache_tmp, damage):
+        assert self.expand(capsys) == "miss"
+        (path,) = (cache_tmp / "cache").iterdir()
+        text = path.read_text()
+        path.write_bytes(damage(json.loads(text), text).encode(errors="surrogateescape"))
+        assert self.expand(capsys) == "miss"
+        assert self.expand(capsys) == "hit"
+
+    def test_cache_dir_is_a_file(self, capsys, cache_tmp, monkeypatch):
+        blocker = cache_tmp / "not-a-dir"
+        blocker.write_text("")
+        monkeypatch.setenv("CFSPECTRA_CACHE_DIR", str(blocker))
+        code = main(list(self.EXPAND))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert "CFSPECTRA_CACHE_DIR" in captured.err and "--no-cache" in captured.err
+        code, rep = run(capsys, *self.EXPAND, "--no-cache")
+        assert (code, rep["result"]["cache"]) == (0, "off")
+
+
 class TestFixtures:
     def test_period_sqrt7(self, capsys):
         code, rep = run(capsys, "period", "--poly", "-7,0,1")
