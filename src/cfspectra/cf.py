@@ -286,10 +286,6 @@ class GrowthReport:
     values: list[FInterval]
     max_enclosure: FInterval
 
-    @property
-    def M(self) -> FInterval:
-        return self.max_enclosure
-
 
 def growth_metrics(cf: CFExpansion, cf2: CFExpansion | None = None) -> GrowthReport:
     depth = cf.depth if cf2 is None else min(cf.depth, cf2.depth)

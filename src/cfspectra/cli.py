@@ -466,6 +466,8 @@ def cmd_orbit(args, cfg) -> dict:
             raise InputError("--bits must be >= 1 for an orbit scan")
         if cfg["mode"] == "quadratic" and (alpha is None or alpha.degree != 2):
             raise InputError("--mode quadratic needs a quadratic irrational --poly2")
+        if cfg["mode"] == "quadratic" and cfg["min_norm"] != _CONFIG["min_norm"].default:
+            raise InputError("--min-norm is not used with --mode quadratic")
         res = orbit_best_approximations(
             xi, alpha, cfg["height"], cfg["mode"], bits=cfg["bits"], min_norm=cfg["min_norm"]
         )

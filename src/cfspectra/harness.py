@@ -63,10 +63,6 @@ class MirrorQuadruple:
     def components(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
 
-    @property
-    def max_abs(self) -> int:
-        return max(abs(v) for v in self.components)
-
     def arrangement(self) -> Mat2:
         return Mat2(self.d, self.c, self.b, self.a)
 

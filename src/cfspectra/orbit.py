@@ -118,30 +118,21 @@ def _xi_interval(xi, bits: int) -> FInterval:
 
 
 def _exponent(distance: FInterval, norm) -> FInterval | None:
-    if distance.lo <= 0:
+    if distance.lo <= 0 or (norm if isinstance(norm, int) else norm.lo) <= 1:
         return None
-    inv = FInterval(1 / distance.hi, 1 / distance.lo)
-    if isinstance(norm, int):
-        if norm < 2:
-            return None
-        norm_iv: object = Fraction(norm)
-    else:
-        if norm.lo <= 1:
-            return None
-        norm_iv = norm
-    return log_ratio_enclosure(inv, norm_iv)
+    return log_ratio_enclosure(FInterval(1 / distance.hi, 1 / distance.lo), norm)
 
 
 # Pruning against the running best. A candidate is a record when the upper end
 # of its exponent enclosure, log(1/dist.lo) / log(norm.lo) from
-# log_ratio_enclosure at 96 bits, exceeds best_hi; that end overshoots the true
-# ratio by about 2^-90 relative. U below is the same ratio in floats: both
-# log2s go through _log2_ratio, within 2^-51 (1 + |log2|) each, and with
-# log2(norm.lo) >= _PRUNE_MIN_LOG2 the quotient is within about 2^-40 (1 + |U|)
-# of the true ratio. So U + 2^-30 (1 + |U|) < float(best_hi), which also absorbs
-# best_hi's rounding to a float, proves exp.hi <= best_hi: the unpruned scan
-# would not have recorded the candidate, and best_hi evolves exactly as there.
-# Norms closer to 1 are never pruned.
+# log_ratio_enclosure at 96 bits, exceeds best_hi. With log2(norm.lo) >=
+# _PRUNE_MIN_LOG2 that end overshoots the true ratio by at most 2^-105 (1 + |U|)
+# (the enclosure's proven bound), and U below, the same ratio in floats from
+# two _log2_ratio calls within 2^-51 (1 + |log2|) each, is within about
+# 2^-40 (1 + |U|) of it. So U + 2^-30 (1 + |U|) < float(best_hi), which also
+# absorbs best_hi's rounding to a float, proves exp.hi <= best_hi: the unpruned
+# scan would not have recorded the candidate, and best_hi evolves exactly as
+# there. Norms closer to 1 are never pruned.
 _PRUNE_MARGIN = 2.0**-30
 _PRUNE_MIN_LOG2 = 2.0**-10
 
@@ -213,13 +204,8 @@ def rational_baseline_scan(
 
 def _small_d(a: int, c: int) -> int:
     # smallest |d| with a*d = +-1 (mod c), so the completion has norm c
-    if c == 1:
-        return 0
-    _, u, _ = _egcd(a % c, c)
-    d = u % c
-    if d > c // 2:
-        d -= c
-    return d
+    d = pow(a, -1, c)
+    return d - c if d > c // 2 else d
 
 
 def _over_common_den(iv: FInterval) -> tuple[int, int, int]:

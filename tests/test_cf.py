@@ -436,8 +436,8 @@ class TestGrowth:
         cf = expand(golden, 60)
         rep = growth_metrics(cf)
         # q_n^(1/n) tends to the golden ratio
-        assert Fraction(16, 10) < rep.M.hi < Fraction(17, 10)
+        assert Fraction(16, 10) < rep.max_enclosure.hi < Fraction(17, 10)
 
     def test_growth_metrics_pair(self, sqrt2, golden):
         rep = growth_metrics(expand(sqrt2, 30), expand(golden, 30))
-        assert rep.M.lo > 1
+        assert rep.max_enclosure.lo > 1

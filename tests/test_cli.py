@@ -372,6 +372,19 @@ class TestConfigAndErrors:
         assert "--mode quadratic" in err and "--poly2" in err
         assert main(argv) == 0
 
+    def test_orbit_quadratic_mode_rejects_min_norm(self, capsys, tmp_path):
+        # used to exit 0 with the same records for every --min-norm
+        argv = ["orbit", "--kind", "scan", "--poly=-2,0,0,1", "--poly2=-3,0,1",
+                "--mode", "quadratic", "--height", "6"]
+        for min_norm in ("0", "1000"):
+            assert main([*argv, "--min-norm", min_norm]) == 1
+            assert "--min-norm" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("min_norm=3\n")
+        assert main([*argv, "--config", str(cfg)]) == 1
+        assert main([*argv, "--min-norm", "2"]) == 0  # the default is accepted
+        assert main([*argv[:-3], "classic", "--height", "6", "--min-norm", "1000"]) == 0
+
     def test_orbit_precision_cap_exits_2(self, capsys, monkeypatch):
         # a Moebius image not isolated at the cap used to end in a traceback
         monkeypatch.setattr(cfspectra.algebraic, "REFINE_HARD_CAP", 32)
@@ -503,6 +516,23 @@ class TestOneParserPerProcess:
                 "assert cli._PARSER is None, 'parser built at import'")
         proc = _python("-c", code)
         assert proc.returncode == 0, proc.stderr
+
+    def test_jobs_load_only_the_standard_library(self, tmp_path):
+        scan = ["orbit", "--kind", "scan", "--poly=-2,0,0,1", "--poly2=-3,0,1", "--height", "5"]
+        jobs = [EXPAND, scan, [*scan, "--mode", "quadratic"], DETECT,
+                ["harness", "--kind", "l1", "--poly=-2,0,1", "--poly2=-1,0,2", "--depth", "40",
+                 "--k", "1", "--l", "2", "--m", "20", "--bits", "64", "--no-cache"]]
+        jobs = [[*argv, "--output", str(tmp_path / f"{i}.json")] for i, argv in enumerate(jobs)]
+        # -S: no site hooks, so every module loaded is the standard library's
+        # or one these jobs imported
+        code = ("import sys; from cfspectra.cli import main; "
+                f"print([main(argv) for argv in {jobs!r}]); "
+                "print(sorted(m for m in sys.modules if m != '__main__' and "
+                "m.partition('.')[0] not in {*sys.stdlib_module_names, 'cfspectra'}))")
+        proc = _python("-S", "-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0]", "[]"]
+        assert json.loads((tmp_path / "2.json").read_text())["result"]["records"]
 
 
 # ------------------------------------------------------------ golden digests

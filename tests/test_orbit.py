@@ -504,8 +504,6 @@ def _referee(poly, index, bits, rows) -> bool:
 
 class TestQuadraticBranch:
     def test_matches_frozen_searches(self):
-        inside = []
-
         @settings(max_examples=120, deadline=None)
         @given(
             poly=quadratics(),
@@ -518,12 +516,22 @@ class TestQuadraticBranch:
         )
         def check(poly, index, bits, rows):
             for level in (None, bits):
-                inside.append(_referee(poly, index, level, rows))
+                _referee(poly, index, level, rows)
 
         check()
-        # the vertex in the interval is the case the side test cannot decide;
-        # about half the isolating intervals hold it
-        assert 5 * sum(inside) >= len(inside)
+
+    # (poly, index) whose isolating interval holds the vertex -b/(2a), the case
+    # the side test cannot decide: close conjugates, rational roots, and a
+    # vertex on an endpoint of the interval
+    VERTEX_INSIDE = [
+        ([-1, -(1 << 21), 1 << 40], 1), ([-1, -(1 << 71), 1 << 140], 1),
+        ([-3, 5, 2], 0), ([1, -4, 3], 0), ([-2, 1, 3], 0), ([-7, 2, 3], 0),
+        ([-1, -20, 5], 1), ([-1, 0, 4], 1), ([-2, 0, 1], 0), ([-2, 0, 1], 1),
+    ]
+
+    @pytest.mark.parametrize("poly, index", VERTEX_INSIDE)
+    def test_vertex_inside_the_interval(self, poly, index):
+        assert _referee(poly, index, None, [(0, 1, 8), (1, -2, 64), (3, 7, 200)])
 
     @settings(max_examples=30, deadline=None)
     @given(
