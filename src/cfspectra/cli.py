@@ -352,19 +352,11 @@ def _flag_pair(args, cfg) -> PairContext:
     return _pair_context(cfg, _root(args, cfg), _root(args, cfg, "2"), cfg["depth"])
 
 
-def _require_witness_depth(ctx: PairContext, wt: SharedBlockWitness) -> None:
-    """Witness offsets must lie inside both expansions (convergent k+m, l+m)."""
-    if min(wt.k, wt.l) < 0 or wt.m < 1:
-        raise InputError(
-            f"witness k={wt.k}, l={wt.l}, m={wt.m}: k and l must not be negative, "
-            "and m must be positive"
-        )
-    if wt.k + wt.m > ctx.cf.depth or wt.l + wt.m > ctx.cf2.depth:
-        need = max(wt.k, wt.l) + wt.m
-        raise InputError(
-            f"witness k={wt.k}, l={wt.l}, m={wt.m} needs expansions to depth {need}; "
-            f"have {ctx.cf.depth} and {ctx.cf2.depth}"
-        )
+def _require_witness(ctx: PairContext, wt: SharedBlockWitness) -> None:
+    try:
+        ctx.require_witness(wt.k, wt.l, wt.m)
+    except ValueError as e:
+        raise InputError(str(e)) from None
 
 
 def _l1_fields(ctx: PairContext, wt: SharedBlockWitness, cfg):
@@ -418,7 +410,7 @@ def _harness_job(args, cfg) -> dict:
     rows = []
     undecided = 0
     for wt in wits:
-        _require_witness_depth(ctx, wt)
+        _require_witness(ctx, wt)
         row = wt.to_dict()
         row["growth_holds"] = check_growth_condition(ctx, wt, cfg["delta"], cfg["L"])
         if wt.mirror:
@@ -448,7 +440,7 @@ def cmd_harness(args, cfg) -> dict:
         return {"identity": "mirror" if cfg["mirror"] else "plain", "holds": holds}
     ctx = _flag_pair(args, cfg)
     wt = SharedBlockWitness(cfg["k"], cfg["l"], cfg["m"])
-    _require_witness_depth(ctx, wt)
+    _require_witness(ctx, wt)
     if args.kind == "growth":
         return {"holds": check_growth_condition(ctx, wt, cfg["delta"], cfg["L"])}
     rep, fields = _l1_fields(ctx, wt, cfg)
@@ -468,8 +460,9 @@ def cmd_orbit(args, cfg) -> dict:
             raise InputError("--mode quadratic needs a quadratic irrational --poly2")
         if cfg["mode"] == "quadratic" and cfg["min_norm"] != _CONFIG["min_norm"].default:
             raise InputError("--min-norm is not used with --mode quadratic")
+        min_norm = cfg["min_norm"] if cfg["mode"] == "classic" else None
         res = orbit_best_approximations(
-            xi, alpha, cfg["height"], cfg["mode"], bits=cfg["bits"], min_norm=cfg["min_norm"]
+            xi, alpha, cfg["height"], cfg["mode"], bits=cfg["bits"], min_norm=min_norm
         )
         return {
             "records": [r.to_dict() for r in res.records],

@@ -35,9 +35,18 @@ class PairContext:
     def build(alpha: AlgebraicNumber, alpha2: AlgebraicNumber, depth: int) -> "PairContext":
         return PairContext(alpha, alpha2, expand(alpha, depth), expand(alpha2, depth))
 
-    def require_depth(self, n: int, n2: int) -> None:
-        if n > self.cf.depth or n2 > self.cf2.depth:
-            raise IndexError("insufficient convergent depth in context")
+    def require_witness(self, k: int, l: int, m: int) -> None:
+        """Offsets (k, l) and block length m must lie inside both expansions."""
+        if min(k, l) < 0 or m < 1:
+            raise ValueError(
+                f"witness k={k}, l={l}, m={m}: k and l must not be negative, "
+                "and m must be positive"
+            )
+        if k + m > self.cf.depth or l + m > self.cf2.depth:
+            raise ValueError(
+                f"witness k={k}, l={l}, m={m} needs expansions to depth {max(k, l) + m}; "
+                f"have {self.cf.depth} and {self.cf2.depth}"
+            )
 
 
 @dataclass(frozen=True)
@@ -71,7 +80,6 @@ class MirrorQuadruple:
 
 
 def phi_vector(ctx: PairContext, k: int, l: int) -> PhiVector:
-    ctx.require_depth(k, l)
     p_k, q_k = ctx.cf.convergent(k)
     p_k1, q_k1 = ctx.cf.convergent(k - 1)
     r_l, s_l = ctx.cf2.convergent(l)
@@ -87,7 +95,7 @@ def phi_vector(ctx: PairContext, k: int, l: int) -> PhiVector:
 
 
 def mirror_quadruple(ctx: PairContext, k: int, l: int, m: int) -> MirrorQuadruple:
-    ctx.require_depth(k, l + m)
+    ctx.require_witness(k, l, m)
     p_k, q_k = ctx.cf.convergent(k)
     p_k1, q_k1 = ctx.cf.convergent(k - 1)
     r_lm, s_lm = ctx.cf2.convergent(l + m)
@@ -167,7 +175,7 @@ def l1_smallness_report(
         raise ValueError("smallness bound applies to plain shared blocks")
     premise_ok = validate_witness(wt, ctx.cf.quotients, ctx.cf2.quotients)
     k, l, m = wt.k, wt.l, wt.m
-    ctx.require_depth(k + m, l + m)
+    ctx.require_witness(k, l, m)
     _, q_km = ctx.cf.convergent(k + m)
     _, s_lm = ctx.cf2.convergent(l + m)
     bound = Fraction(2, q_km * s_lm)
@@ -198,7 +206,7 @@ def check_growth_condition(ctx: PairContext, wt: SharedBlockWitness, delta, L) -
     if delta <= 0 or L <= 0:
         raise ValueError("delta and L must be positive")
     k, l, m = wt.k, wt.l, wt.m
-    ctx.require_depth(k + m, l + m)
+    ctx.require_witness(k, l, m)
     _, q_k = ctx.cf.convergent(k)
     _, s_l = ctx.cf2.convergent(l)
     _, q_km = ctx.cf.convergent(k + m)

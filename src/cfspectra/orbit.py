@@ -260,17 +260,21 @@ def orbit_best_approximations(
     mode: str = "classic",
     *,
     bits: int = 192,
-    min_norm: int = 2,
+    min_norm: int | None = None,
 ) -> OrbitScanResult:
     """Scan the PSL(2,Z) orbit of alpha for good approximants to xi.
 
     Records improve the running best exponent and come back sorted by norm.
     alpha=None selects the rational baseline (orbit of infinity). Candidates
     that provably cannot beat the running best skip the log enclosure, so
-    the records are those of the unpruned scan.
+    the records are those of the unpruned scan. min_norm (default 2) skips
+    smaller classic norms; quadratic mode refuses it.
     """
     if mode not in ("classic", "quadratic"):
         raise ValueError("mode must be 'classic' or 'quadratic'")
+    if mode == "quadratic" and min_norm is not None:
+        raise ValueError("min_norm is not used in quadratic mode")
+    min_norm = 2 if min_norm is None else min_norm
     if alpha is None:
         if mode == "quadratic":
             raise ValueError("quadratic mode needs a quadratic alpha")

@@ -92,12 +92,64 @@ def _lce_rows(a, b, mirror: bool = False):
         yield i, row
 
 
+def _longest_common_factor(a, b, cap: int) -> int:
+    """min(λ, cap), where λ is the length of the longest common factor of a and b.
+
+    With b None, λ is the length of the longest factor that starts at two
+    distinct places in a. Factors are named by doubling (Karp, Miller &
+    Rosenberg, STOC 1972): at block length h, equal length-h factors of
+    either word carry equal integer names, and a factor of length m with
+    h <= m <= 2h is named by the names of its length-h prefix and suffix.
+    Names are compared exactly, so no hash collision decides λ. Each test is
+    one pass over the words, and there are O(log min(λ, cap)) of them.
+    """
+
+    def found(names, h, m):  # a length-m factor occurs in both words (or twice)
+        first, d = names[0], m - h
+        if b is None:
+            return len(set(zip(first, first[d:]))) < len(first) - d
+        return not set(zip(first, first[d:])).isdisjoint(zip(names[1], names[1][d:]))
+
+    names, h = ([a] if b is None else [a, b]), 1
+    if cap < 1 or not found(names, 1, 1):
+        return 0
+    hi = cap + 1  # no common factor of length hi; there is one of length h
+    while 2 * h < cap:
+        if not found(names, h, 2 * h):
+            hi = 2 * h
+            break
+        ids = {}
+        names = [[ids.setdefault(p, len(ids)) for p in zip(n, n[h:])] for n in names]
+        h *= 2
+    lo = h
+    while hi - lo > 1:  # every length tested here lies in [h, 2h]
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if found(names, h, mid) else (lo, mid)
+    return lo
+
+
+def _window(num: int, den: int, n: int, a, b) -> int:
+    """Length of the prefixes that hold every witness of ratio at most num/den.
+
+    A witness block is a common factor of a and b (b None: of a with
+    itself), so it has length m <= λ and starts before (num/den)·m. The
+    prefixes of ⌊(num/den)·λ⌋ + λ + 1 letters contain every witness, and in
+    them no extension runs into the cut, so the row scan reads exact values.
+    The search for λ stops at the least λ whose window covers n letters.
+    """
+    cap = -(-den * (n - 1) // (num + den))
+    lam = _longest_common_factor(a, b, cap)
+    return num * lam // den + lam + 1
+
+
 def _find_prefix_repetitions(w, L, min_b: int, mirror: bool, require_nonempty_a: bool):
     w = _as_word(w)
     num, den = _ratio_bound(L)
     if min_b < 1:
         raise ValueError("minB must be >= 1")
     low = 1 if require_nonempty_a else 0
+    # the second block starts at j <= (1 + L)·m
+    w = w[: _window(num + den, den, len(w), w, w[::-1] if mirror else None)]
     n = len(w)
     found = []
     # row j: the second block starts at j. With |A| + |A'| = j - m, the ratio
@@ -167,6 +219,9 @@ def find_shared_blocks(a, a2, L, min_b: int = 1, mirror: bool = False):
     num, den = _ratio_bound(L)
     if min_b < 1:
         raise ValueError("minB must be >= 1")
+    # k + l <= L·m
+    cut = _window(num, den, max(len(a), len(a2)), a, a2[::-1] if mirror else a2)
+    a, a2 = a[:cut], a2[:cut]
     out = []
     for k, row in _lce_rows(a, a2, mirror):
         if k * den > num * (len(a) - k):

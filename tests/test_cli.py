@@ -603,6 +603,13 @@ GOLDEN = [
      "bfcf65a7064265dcf90aceb47015ab97fe3bbdb12d4fc7ed52c4fcabd8b083c1"),
     ("period --poly=-1,-20,5 --root-index 1",
      "7155d50818ffc2c509c961134572bb142204cd699c46ea6a9aeee91883ea8d89"),
+    # words far longer than the window the longest common factor leaves
+    ("detect --kind shared --poly=-2,0,0,1 --poly2=-3,0,0,1 --depth 400 --L 2",
+     "ee3edbd2aae1a0ad413c80d8e06da7235adcb95f5c62c864862b60ddfff9ef7c"),
+    ("detect --kind shared --poly=-2,0,0,1 --poly2=-3,0,0,1 --depth 400 --L 2 --mirror",
+     "0a556c2c971e284b19b2d035b672270731d5c3b14b7d45efb28b6e75ca463bba"),
+    ("detect --kind mirror --poly=-5,0,0,0,1 --depth 400 --L 2",
+     "77cacd76fbbca3ac2767c8e070cb8c3d763dadaa219d7cc3270cff238b2db477"),
 ]
 
 

@@ -109,6 +109,20 @@ class TestSmallness:
         with pytest.raises(ValueError):
             l1_smallness_report(ctx, SharedBlockWitness(1, 1, 2, mirror=True))
 
+    def test_witness_outside_the_expansions(self):
+        from cfspectra import SharedBlockWitness
+
+        ctx = make_pair(depth=10)
+        for (k, l, m), text in (((9, 9, 9), "depth 18; have 10 and 10"),
+                                ((-3, 1, 1), "must not be negative"),
+                                ((1, 1, 0), "m must be positive")):
+            wt = SharedBlockWitness(k, l, m)
+            for check in (l1_smallness_report, lambda c, w: check_growth_condition(c, w, 1, 1)):
+                with pytest.raises(ValueError, match=text):
+                    check(ctx, wt)
+        with pytest.raises(ValueError, match="depth 11"):
+            mirror_quadruple(ctx, 1, 8, 3)
+
     def test_report_carries_bits_used(self):
         ctx = make_pair(depth=60)
         wits = find_shared_blocks(ctx.cf.quotients, ctx.cf2.quotients, L=4, min_b=30)

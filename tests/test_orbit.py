@@ -154,6 +154,13 @@ class TestScan:
         with pytest.raises(ValueError):
             orbit_best_approximations(sqrt2, None, 5, mode="quadratic")
 
+    def test_quadratic_mode_refuses_min_norm(self, cbrt2, sqrt3):
+        # used to return the same records for every min_norm
+        for min_norm in (0, 2, 1000):
+            with pytest.raises(ValueError, match="min_norm"):
+                orbit_best_approximations(cbrt2, sqrt3, 6, "quadratic", min_norm=min_norm)
+        assert orbit_best_approximations(cbrt2, sqrt3, 6, "quadratic").records
+
 
 class TestSeparation:
     def test_sqrt2_vs_sqrt3(self, sqrt2, sqrt3):
@@ -355,7 +362,8 @@ class TestScanMatchesUnpruned:
                 xi = _nth_root(xi_poly, roots[0])
             return xi, alpha
 
-        kwargs = dict(bits=bits, min_norm=min_norm)
+        # quadratic mode refuses min_norm
+        kwargs = dict(bits=bits, min_norm=min_norm) if mode == "classic" else dict(bits=bits)
         expected = _outcome(oracle_scan, *build(), height, mode, **kwargs)
         assert _outcome(orbit_best_approximations, *build(), height, mode, **kwargs) == expected
 

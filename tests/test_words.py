@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import accumulate, chain, compress, count, islice
+from math import ceil, log2
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfspectra.words import (
     RepetitionWitness,
@@ -16,6 +18,7 @@ from cfspectra.words import (
     subword_complexity,
     validate_witness,
 )
+from cfspectra.words import _longest_common_factor
 
 small_words = st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=12)
 
@@ -243,3 +246,182 @@ class TestSameTailOracle:
     @given(any_words, st.integers(min_value=1, max_value=4))
     def test_equal_words(self, w, min_tail):
         assert same_tail_offset(w, w, min_tail) == oracle_same_tail(w, w, min_tail)
+
+
+# ------------------------------------------------------------ window referee
+# Frozen copy of the row-scan detectors as they were before the scan was cut
+# to the window the longest common factor leaves: they fill the whole table.
+
+
+def frozen_lce_rows(a, b, mirror):
+    row = [0] * len(b)
+    for i in range(len(a) - 1, -1, -1):
+        x = a[i]
+        diagonal = chain((0,), row) if mirror else chain(islice(row, 1, None), (0,))
+        row = [d + 1 if c == x else 0 for d, c in zip(diagonal, b)]
+        yield i, row
+
+
+def frozen_repetitions(w, L, min_b, mirror, low):
+    num, den = Fraction(L).numerator, Fraction(L).denominator
+    n = len(w)
+    found = []
+    for j, row in frozen_lce_rows(w, w, mirror):
+        m_lo = max(min_b, -(-j * den // (num + den)))
+        if m_lo > n - j:
+            continue
+        if mirror:
+            for e in range(j - low):
+                if row[e] >= m_lo:
+                    m_hi = min(row[e], e + 1 - low)
+                    found.extend((m, e + 1 - m, j - 1 - e) for m in range(m_lo, m_hi + 1))
+        else:
+            for i in range(low, j):
+                if row[i] >= m_lo:
+                    m_hi = min(row[i], j - i - low)
+                    found.extend((m, i, j - i - m) for m in range(m_lo, m_hi + 1))
+    found.sort()
+    return [(ka, ka2, m) for m, ka, ka2 in found]
+
+
+def frozen_longest_mirror_from(row):
+    end_by_start = [-1] * len(row)
+    for e in compress(count(), row):
+        end_by_start[e + 1 - row[e]] = e
+    return [e + 1 - l for l, e in enumerate(accumulate(end_by_start, max))]
+
+
+def frozen_shared(a, a2, L, min_b, mirror):
+    num, den = Fraction(L).numerator, Fraction(L).denominator
+    out = []
+    for k, row in frozen_lce_rows(a, a2, mirror):
+        if k * den > num * (len(a) - k):
+            continue
+        best = frozen_longest_mirror_from(row) if mirror else row
+        out.extend((k, l, m) for l, m in enumerate(best) if m >= min_b and (k + l) * den <= num * m)
+    out.sort()
+    return out
+
+
+def brute_longest_common_factor(a, b):
+    """Longest common factor of a and b by slicing (b None: at two starts of a)."""
+    pairs = [(i, j) for i in range(len(a)) for j in range(i + 1, len(a))] if b is None else [
+        (i, j) for i in range(len(a)) for j in range(len(b))]
+    b = a if b is None else b
+    best = 0
+    for i, j in pairs:
+        m = 0
+        while i + m < len(a) and j + m < len(b) and a[i + m] == b[j + m]:
+            m += 1
+        best = max(best, m)
+    return best
+
+
+def _gauss_kuzmin(i):
+    """The letter at quantile (i + 1/2)/2^16 of P(a = k) = log2(1 + 1/(k(k + 2)))."""
+    u = (i + 0.5) / 2**16
+    return max(1, ceil(1 / (2 ** (1 - u) - 1)) - 1)
+
+
+gk_letters = st.integers(0, 2**16 - 1).map(_gauss_kuzmin)
+
+
+def gk_words(lo, hi):
+    return st.lists(gk_letters, min_size=lo, max_size=hi).map(tuple)
+
+
+@st.composite
+def periodic_words(draw, hi=300):
+    period = draw(gk_words(1, 6))
+    w = (period * hi)[: draw(st.integers(40, hi))]
+    return w[::-1] if draw(st.booleans()) else w
+
+
+@st.composite
+def spliced_pairs(draw, tail_hi=150):
+    """Two words that share a tail (and so are close to related numbers)."""
+    tail = draw(gk_words(1, tail_hi))
+    return draw(gk_words(40, 150)) + tail, draw(gk_words(0, 150)) + tail
+
+
+@st.composite
+def long_pairs(draw):
+    kind = draw(st.sampled_from(["unrelated", "spliced", "periodic"]))
+    if kind == "unrelated":
+        return draw(gk_words(40, 300)), draw(gk_words(40, 300))
+    if kind == "spliced":
+        return draw(spliced_pairs())
+    w = draw(periodic_words(hi=120))
+    return w, w[::-1]
+
+
+@st.composite
+def long_words(draw):
+    kind = draw(st.sampled_from(["unrelated", "unrelated", "spliced", "periodic"]))
+    if kind == "unrelated":
+        return draw(gk_words(40, 300))
+    if kind == "spliced":  # a repeated block past the window or inside it
+        return sum(draw(spliced_pairs(30)), ())
+    return draw(periodic_words(hi=60))
+
+
+def _at_cap(lam, cut_by, mirror):
+    """40 letters whose longest common factor λ has the given length.
+
+    The block s of λ distinct letters sits at offsets 6 and 6 + cut_by; the
+    letters around it differ, so nothing longer is shared. With L = 2 the cap
+    is 13 for shared blocks and 10 for repetitions.
+    """
+    s = tuple(range(3, 3 + lam))
+    other = s[::-1] if mirror else s
+    if cut_by is None:  # shared blocks: s in a, s or reversed s in a2
+        a = (1,) * 6 + s + (1,) * (34 - lam)
+        a2 = (2,) * 12 + other + (2,) * (28 - lam)
+        return a, a2
+    filler = tuple(range(100, 100 + 40 - 2 * lam - 1 - cut_by))
+    return (1,) + s + (2, 1)[:cut_by] + other + filler
+
+
+class TestWindowReferee:
+    """The cut scan gives the whole-table lists, order included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_pairs(), ratios, st.integers(1, 3), st.booleans())
+    @example(_at_cap(13, None, False), 2, 1, False)
+    @example(_at_cap(13, None, True), 2, 1, True)
+    @example(_at_cap(12, None, False), 2, 1, False)
+    @example(_at_cap(12, None, True), 2, 1, True)
+    def test_shared_blocks(self, pair, L, min_b, mirror):
+        a, a2 = pair
+        got = [(t.k, t.l, t.m) for t in find_shared_blocks(a, a2, L, min_b, mirror=mirror)]
+        assert got == frozen_shared(a, a2, L, min_b, mirror)
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_words(), ratios, st.integers(1, 3), st.booleans(), st.booleans())
+    @example(_at_cap(10, 1, False), 2, 1, True, False)
+    @example(_at_cap(9, 1, False), 2, 1, False, False)
+    @example(_at_cap(10, 2, True), 2, 1, True, True)
+    @example(_at_cap(9, 2, True), 2, 1, False, True)
+    def test_repetitions(self, w, L, min_b, nonempty, mirror):
+        finder = find_mirror_repetitions if mirror else find_repetitions
+        got = [(t.kA, t.kA_prime, t.m) for t in finder(w, L, min_b, require_nonempty_a=nonempty)]
+        assert got == frozen_repetitions(w, L, min_b, mirror, 1 if nonempty else 0)
+
+    def test_examples_sit_at_the_cap(self):
+        for lam in (13, 12):
+            for mirror in (False, True):
+                a, a2 = _at_cap(lam, None, mirror)
+                assert _longest_common_factor(a, a2[::-1] if mirror else a2, 99) == lam
+                assert find_shared_blocks(a, a2, 2, lam, mirror=mirror)
+        for lam in (10, 9):
+            w = _at_cap(lam, 1, False)
+            assert len(w) == 40 and _longest_common_factor(w, None, 99) == lam
+            assert find_repetitions(w, 2, lam)
+            w = _at_cap(lam, 2, True)
+            assert len(w) == 40 and _longest_common_factor(w, w[::-1], 99) == lam
+            assert find_mirror_repetitions(w, 2, lam)
+
+    @given(any_words, st.one_of(st.none(), any_words), st.integers(0, 20))
+    def test_longest_common_factor(self, a, b, cap):
+        a, b = tuple(a), None if b is None else tuple(b)
+        assert _longest_common_factor(a, b, cap) == min(cap, brute_longest_common_factor(a, b))
