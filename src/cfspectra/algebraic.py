@@ -187,7 +187,8 @@ class AlgebraicNumber:
         rat = self.rational_value()
         if rat is not None:
             if _is_dyadic(rat):
-                self.isolating = DyadicInterval(rat, rat)
+                if not self.is_degenerate():  # keep the object: callers key caches by it
+                    self.isolating = DyadicInterval(rat, rat)
                 return self.isolating
         if self.isolating.width <= Fraction(1, 1 << bits):
             return self.isolating

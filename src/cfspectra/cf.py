@@ -213,15 +213,25 @@ class PeriodicForm:
         return self.preperiod + self.period * cycles
 
 
+def is_quadratic_irrational(x: AlgebraicNumber) -> bool:
+    """True when x's minimal polynomial is a quadratic whose discriminant is
+    positive and not a square, so that neither root is rational."""
+    if x.degree != 2:
+        return False
+    c, b, a = x.minpoly.coeffs
+    disc = b * b - 4 * a * c
+    return disc > 0 and isqrt(disc) ** 2 != disc
+
+
 def detect_period(x: AlgebraicNumber) -> PeriodicForm:
     """Exact preperiod and shortest period of a quadratic irrational."""
     if x.degree != 2:
         raise ValueError("period detection requires a quadratic irrational")
+    if not is_quadratic_irrational(x):
+        raise ValueError("not a quadratic irrational")
     c0, c1, c2 = x.minpoly.coeffs
     a, b, c = c2, c1, c0  # a x^2 + b x + c
     disc = b * b - 4 * a * c
-    if disc <= 0 or isqrt(disc) ** 2 == disc:
-        raise ValueError("not a quadratic irrational")
     # the branch (-b + sqrt(disc)) / (2a) is the larger root exactly when a > 0
     if _above_vertex(x) == (a > 0):
         P, Q = -b, 2 * a

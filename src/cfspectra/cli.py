@@ -20,7 +20,14 @@ from pathlib import Path
 
 from . import __version__
 from .algebraic import AlgebraicNumber, isolate_real_roots
-from .cf import CFExpansion, convergents, detect_period, expand, verify_cf_identities
+from .cf import (
+    CFExpansion,
+    convergents,
+    detect_period,
+    expand,
+    is_quadratic_irrational,
+    verify_cf_identities,
+)
 from .errors import PrecisionExhausted
 from .harness import (
     PairContext,
@@ -456,7 +463,7 @@ def cmd_orbit(args, cfg) -> dict:
         alpha = _root(args, cfg, "2") if args.poly2 or args.poly2_file else None
         if cfg["bits"] < 1:
             raise InputError("--bits must be >= 1 for an orbit scan")
-        if cfg["mode"] == "quadratic" and (alpha is None or alpha.degree != 2):
+        if cfg["mode"] == "quadratic" and (alpha is None or not is_quadratic_irrational(alpha)):
             raise InputError("--mode quadratic needs a quadratic irrational --poly2")
         if cfg["mode"] == "quadratic" and cfg["min_norm"] != _CONFIG["min_norm"].default:
             raise InputError("--min-norm is not used with --mode quadratic")

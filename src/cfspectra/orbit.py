@@ -41,13 +41,29 @@ def quadratic_norm(
         if work > 64:
             conj = AlgebraicNumber(conj.minpoly, conj.isolating)
         s = conj.value_interval(work)
-        num = (m.c * a + Fraction(m.d)) * (m.c * s + Fraction(m.d))
-        den = a - s
-        if not den.contains_zero():
-            return (num / den).abs()
+        # the four dyadic ends as integers over the largest denominator q
+        q = max(a.lo.denominator, a.hi.denominator, s.lo.denominator, s.hi.denominator)
+        a0, a1, s0, s1 = (x.numerator * (q // x.denominator) for x in (a.lo, a.hi, s.lo, s.hi))
+        d0, d1 = a0 - s1, a1 - s0  # (a - s) q
+        if d0 > 0 or d1 < 0:
+            break
         work *= 2
         if work > REFINE_HARD_CAP:
             raise PrecisionExhausted("quadratic norm: conjugates not separated at the cap")
+    # (c a + d)(c s + d) q^2 is the hull [n0, n1] of the four corner products;
+    # dividing by (a - s) q with its sign taken out gives the same exact hull
+    # as FInterval arithmetic
+    dq = m.d * q
+    x0, x1, y0, y1 = m.c * a0 + dq, m.c * a1 + dq, m.c * s0 + dq, m.c * s1 + dq
+    corners = (x0 * y0, x0 * y1, x1 * y0, x1 * y1)
+    n0, n1 = min(corners), max(corners)
+    if d1 < 0:
+        n0, n1, d0, d1 = -n1, -n0, -d1, -d0
+    if n0 >= 0:
+        return FInterval(Fraction(n0, d1 * q), Fraction(n1, d0 * q))
+    if n1 <= 0:
+        return FInterval(Fraction(-n1, d1 * q), Fraction(-n0, d0 * q))
+    return FInterval(Fraction(0), Fraction(max(-n0, n1), d0 * q))
 
 
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -154,6 +170,11 @@ def _cannot_beat(dist_num: int, dist_den: int, log2_norm: float, best: float) ->
     return u + _PRUNE_MARGIN * (1 + abs(u)) < best
 
 
+# The rational baseline's cheap pre-test reads xi on this dyadic grid.
+_GRID_BITS = 64
+_GRID_ONE = 1 << _GRID_BITS
+
+
 def rational_baseline_scan(
     xi, height: int, bits: int = 256, min_norm: int = 2
 ) -> OrbitScanResult:
@@ -166,15 +187,24 @@ def rational_baseline_scan(
     result = OrbitScanResult()
     xi_iv = _xi_interval(xi, bits)
     mid = (xi_iv.lo + xi_iv.hi) / 2
+    mid_n, mid_d = mid.numerator, mid.denominator
     lo_n, lo_d = xi_iv.lo.numerator, xi_iv.lo.denominator
     hi_n, hi_d = xi_iv.hi.numerator, xi_iv.hi.denominator
+    # xi_iv widened outward to the grid: [g_lo, g_hi] / 2^_GRID_BITS
+    g_lo = (lo_n << _GRID_BITS) // lo_d
+    g_hi = -((-hi_n << _GRID_BITS) // hi_d)
     best_hi = Fraction(0)
     best = 0.0
+    past_two = False  # best_hi >= 2
     for c in range(max(2, min_norm), height + 1):
-        a0 = c * mid.numerator // mid.denominator
+        a0 = c * mid_n // mid_d
         for a in (a0, a0 + 1):
-            if gcd(a, c) != 1:
-                continue
+            if past_two:
+                # the distance to the widened interval is at most dist.lo, so
+                # its c^2 multiple above 1 proves the exact test below rejects
+                a_g = a << _GRID_BITS
+                if (c * g_lo - a_g) * c > _GRID_ONE or (a_g - c * g_hi) * c > _GRID_ONE:
+                    continue
             # xi_iv - a/c = [e_lo / (c lo_d), e_hi / (c hi_d)]
             e_lo = c * lo_n - a * lo_d
             e_hi = c * hi_n - a * hi_d
@@ -183,18 +213,20 @@ def rational_baseline_scan(
             elif e_hi < 0:
                 dist = (-e_hi, c * hi_d, -e_lo, c * lo_d)
             elif e_lo == e_hi == 0:
-                result.xi_in_orbit.append(complete_unimodular(c, _small_d(a, c), 1))
+                if gcd(a, c) == 1:
+                    result.xi_in_orbit.append(complete_unimodular(c, _small_d(a, c), 1))
                 continue
             else:
                 continue  # dist.lo = 0: no exponent
-            if best_hi >= 2 and dist[0] * c * c > dist[1]:
+            if past_two and dist[0] * c * c > dist[1]:
                 continue  # exponent at most 2, cannot improve the running best
-            if _cannot_beat(dist[0], dist[1], log2(c), best):
+            if _cannot_beat(dist[0], dist[1], log2(c), best) or gcd(a, c) != 1:
                 continue
             dist_iv = FInterval(Fraction(dist[0], dist[1]), Fraction(dist[2], dist[3]))
             exp = _exponent(dist_iv, c)
             if exp.hi > best_hi:
                 best_hi, best = exp.hi, float(exp.hi)
+                past_two = best_hi >= 2
                 result.records.append(
                     ApproxRecord(complete_unimodular(c, _small_d(a, c), 1), c, dist_iv, exp)
                 )
@@ -286,7 +318,8 @@ def orbit_best_approximations(
     best_hi = Fraction(0)
     best = 0.0
     conj = None  # alpha's conjugate, found at the first norm
-    norms = {}  # (c, d, alpha's interval before the call) -> norm; hit checks refine alpha
+    norms = {}  # (c, d) -> norm at alpha's interval norms_for; hit checks refine alpha
+    norms_for = None
     for a, b, c, d, lo_n, lo_d, hi_n, hi_d in candidates:
         # xi_iv - beta = [x0 / xq - hi_n / hi_d, x1 / xq - lo_n / lo_d]
         e_lo = x0 * hi_d - hi_n * xq
@@ -302,12 +335,14 @@ def orbit_best_approximations(
                 result.xi_in_orbit.append(m)
             continue  # else: unresolved tiny distance; skip rather than overclaim
         if mode == "quadratic":
-            key = (c, d, alpha.isolating.lo, alpha.isolating.hi)
-            nrm: object = norms.get(key)
+            if alpha.isolating is not norms_for:
+                norms.clear()
+                norms_for = alpha.isolating
+            nrm: object = norms.get((c, d))
             if nrm is None:
                 if conj is None:
                     conj = quadratic_conjugate(alpha)
-                nrm = norms[key] = quadratic_norm(Mat2(a, b, c, d), alpha, conj=conj)
+                nrm = norms[c, d] = quadratic_norm(Mat2(a, b, c, d), alpha, conj=conj)
             if not (nrm.hi <= height) or nrm.lo <= 1:
                 continue
             log2_norm = _log2_ratio(nrm.lo.numerator, nrm.lo.denominator)

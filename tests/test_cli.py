@@ -364,6 +364,17 @@ class TestConfigAndErrors:
         assert main(argv) == 1
         assert main([*argv[:-1], "classic"]) == 0
 
+    def test_orbit_quadratic_mode_rational_alpha(self, capsys):
+        # roots +-1/3, +-1 and 1/2, -3: these used to exit 0 with a
+        # "quadratic norm", which period refuses as well
+        for poly2 in ("-1,0,9", "-1,0,1", "-3,5,2"):
+            argv = ["orbit", "--kind", "scan", "--poly=-3,0,0,1", f"--poly2={poly2}",
+                    "--height", "9", "--bits", "8"]
+            assert main([*argv, "--mode", "quadratic"]) == 1
+            assert "needs a quadratic irrational --poly2" in capsys.readouterr().err
+            assert main([*argv, "--mode", "classic"]) == 0
+            assert main(["period", f"--poly={poly2}"]) == 1
+
     def test_orbit_quadratic_mode_needs_poly2(self, capsys):
         # used to exit 0 with the rational baseline's records
         argv = ["orbit", "--kind", "scan", "--poly=-2,0,0,1", "--height", "5"]
@@ -588,11 +599,10 @@ GOLDEN = [
     ("detect --kind repetition --word @w.txt --L 4",
      "842f0976e95252be4857c3befca9dd5c9a8d991056be9d3d40ce90bd6199a584"),
     # quadratic alphas whose branch needs the vertex test: a coarse alpha,
-    # rational roots, close conjugates, and orbit hits that refine alpha
+    # close conjugates, and orbit hits that refine alpha (the rational roots
+    # of -3,5,2 are refused: test_orbit_quadratic_mode_rational_alpha)
     ("orbit --kind scan --poly=-3,0,0,1 --poly2=-7,2,3 --height 9 --mode quadratic --bits 1",
      "20d60c4c01215db0bae09692e613748639384305bcdb96125b4aaf2bea55ba4b"),
-    ("orbit --kind scan --poly=-3,0,0,1 --poly2=-3,5,2 --height 9 --mode quadratic --bits 8",
-     "f81af7393873b8a9c7df74d969d131e84e6b423b66f4c498311a1c1f4c150d40"),
     ("orbit --kind scan --poly=-3,0,0,1 --poly2=-1,-2097152,1099511627776 --height 9 "
      "--mode quadratic --bits 8",
      "f3472ebf2870cdf025fdafb5727b7a2fec8b15368f7df07c0ad36ac35ac7c9ab"),
@@ -610,6 +620,13 @@ GOLDEN = [
      "0a556c2c971e284b19b2d035b672270731d5c3b14b7d45efb28b6e75ca463bba"),
     ("detect --kind mirror --poly=-5,0,0,0,1 --depth 400 --L 2",
      "77cacd76fbbca3ac2767c8e070cb8c3d763dadaa219d7cc3270cff238b2db477"),
+    ("orbit --kind scan --poly=-2,0,0,1 --height 5000",
+     "8228d457675e36e6a43593bfae77a85ecf79ec88912532ef1cf77d5ad9f7f9a3"),
+    ("orbit --kind scan --poly=1,-3,0,1 --root-index 2 --poly2=-7,2,3 --root-index2 0 --height 9",
+     "04e48f44a9172019e5aad9b2cbad262bc144b3d686d9d724456994a75f89fd8d"),
+    ("orbit --kind scan --poly=-5,1,0,1 --poly2=-1,-1,1 --root-index2 1 --height 5 "
+     "--mode quadratic",
+     "283bd476faf78d58f7c60fb842d102d361edea9f1548ab24543de98edb722bd3"),
 ]
 
 

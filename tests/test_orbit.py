@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import floor, gcd, isqrt
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import cfspectra.orbit
 from cfspectra import (
@@ -145,6 +145,17 @@ class TestScan:
         for r in res.records:
             assert r.norm.hi <= 10
 
+    @pytest.mark.parametrize("alpha_poly", [[-2, 0, 1], [-1, 0, 4]])  # sqrt 2, then 1/2
+    def test_quadratic_mode_one_norm_per_row(self, cbrt2, monkeypatch, alpha_poly):
+        # the six candidates of a row share its norm while alpha's interval
+        # stays put; refining the dyadic root 1/2 keeps its interval object
+        rows = []
+        norm = cfspectra.orbit.quadratic_norm
+        monkeypatch.setattr(cfspectra.orbit, "quadratic_norm",
+                            lambda m, *a, **k: rows.append((m.c, m.d)) or norm(m, *a, **k))
+        assert orbit_best_approximations(cbrt2, root_of(alpha_poly), 6, "quadratic").records
+        assert len(rows) == len(set(rows))
+
     def test_bad_mode(self, sqrt2, golden):
         with pytest.raises(ValueError):
             orbit_best_approximations(sqrt2, golden, 5, mode="bogus")
@@ -225,8 +236,11 @@ def frozen_quadratic_conjugate(x):
         bits *= 2
 
 
-def oracle_quadratic_norm(m, alpha, bits=64):
-    conj = frozen_quadratic_conjugate(alpha)
+def oracle_quadratic_norm(m, alpha, bits=64, conj=None):
+    """conj, when given, is what frozen_quadratic_conjugate(alpha) returned
+    for alpha in its present state (it has refined alpha already)."""
+    if conj is None:
+        conj = frozen_quadratic_conjugate(alpha)
     work = bits
     while True:
         a = alpha.value_interval(work)
@@ -373,10 +387,18 @@ class TestScanMatchesUnpruned:
         root=st.integers(0, 3),
         target=st.sampled_from(["root", "word", "rational"]),
         depth=st.integers(0, 25),
-        height=st.integers(2, 3000),
+        height=st.integers(2, 5000),
         min_norm=st.integers(1, 4),
         bits=st.sampled_from([1, 8, 64, 256]),
     )
+    # xi coarser than the 2^-64 grid of the cheap pre-test, a word xi, a
+    # rational xi = 635/504 in the orbit, and min_norm above 2, at the heights
+    # of the benchmark's rational scans
+    @example([-2, 0, 0, 1], 0, "root", 0, 5000, 2, 8)
+    @example([-3, 0, 0, 1], 0, "root", 0, 5000, 3, 63)
+    @example([-5, 1, 0, 1], 0, "word", 25, 5000, 2, 256)
+    @example([-2, 0, 0, 1], 0, "rational", 8, 5000, 2, 256)
+    @example([-2, 0, 0, 0, 1], 1, "root", 0, 5000, 700, 256)
     def test_rational_baseline(self, xi_poly, root, target, depth, height, min_norm, bits):
         def build():
             x = _nth_root(xi_poly, root)
@@ -508,6 +530,29 @@ def _referee(poly, index, bits, rows) -> bool:
         x.refine_to(refine)
         ref.refine_to(refine)
     return before.lo <= Fraction(-b, 2 * a) <= before.hi
+
+
+def _copy(x):
+    return AlgebraicNumber(x.minpoly, x.isolating)
+
+
+@pytest.mark.parametrize("poly", dict.fromkeys(map(tuple, QUADRATICS + BRANCH_QUADRATICS)),
+                         ids=str)
+def test_quadratic_norm_matches_fraction_referee(poly):
+    # every row with c <= 12 and |d| <= 12, on each root as isolated and at
+    # 200 bits; both sides get a copy of that state per row, as both refine it
+    for root in isolate_real_roots(IntPolynomial.from_coeffs(poly)):
+        for bits in (None, 200):
+            if bits is not None:
+                root.refine_to(bits)
+            conj = quadratic_conjugate(root)
+            ref = _copy(root)
+            ref_conj = frozen_quadratic_conjugate(ref)
+            for c, d in enumerate_bottom_rows(12):
+                m = complete_unimodular(c, d, 1)
+                want = oracle_quadratic_norm(m, _copy(ref), conj=_copy(ref_conj))
+                assert quadratic_norm(m, _copy(root), conj=_copy(conj)) == want
+            assert quadratic_norm(m, _copy(root)) == want
 
 
 class TestQuadraticBranch:
