@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-from .errors import PrecisionExhausted
+from .errors import PrecisionExhausted, precisions
 from .intervals import FInterval
 from .matrices import Mat2
 from .polynomials import (
@@ -23,7 +23,6 @@ from .polynomials import (
     squarefree_part,
 )
 
-REFINE_HARD_CAP = 1 << 17  # bits; past this we give up rather than loop
 # refinements gaining fewer bits than this bisect: Newton's fixed cost of a
 # few evaluations plus two exact sign tests only pays off on larger gains
 NEWTON_MIN_GAIN = 48
@@ -261,7 +260,7 @@ def moebius_minpoly(m: Mat2, p: IntPolynomial) -> IntPolynomial:
     return squarefree_part(p.moebius(m.d, -m.b, -m.c, m.a))
 
 
-def moebius_apply(m, x: AlgebraicNumber, *, bits: int = 64) -> AlgebraicNumber:
+def moebius_apply(m, x: AlgebraicNumber) -> AlgebraicNumber:
     """Image of x under the fractional linear map (a x + b)/(c x + d)."""
     if not isinstance(m, Mat2):
         m = Mat2(*m)
@@ -274,14 +273,12 @@ def moebius_apply(m, x: AlgebraicNumber, *, bits: int = 64) -> AlgebraicNumber:
             raise ZeroDivisionError("pole: c*x + d = 0")
         return AlgebraicNumber.from_rational((m.a * rat + m.b) / den)
     q = moebius_minpoly(m, x.minpoly)
-    work = bits
-    while work <= REFINE_HARD_CAP:
+    for work in precisions(64):
         iv = x.value_interval(work)
         if x.rational_value() is not None:
             return moebius_apply(m, x)  # refinement landed exactly on a dyadic root
         den_iv = m.c * iv + Fraction(m.d)
         if den_iv.contains_zero():
-            work *= 2
             continue
         img = (m.a * iv + Fraction(m.b)) / den_iv
         scale = 1 << (work + 8)
@@ -290,7 +287,6 @@ def moebius_apply(m, x: AlgebraicNumber, *, bits: int = 64) -> AlgebraicNumber:
         if q.sign_at(dlo) != 0 and q.sign_at(dhi) != 0:
             if count_roots_in(q, dlo, dhi) == 1:
                 return AlgebraicNumber(q, DyadicInterval(dlo, dhi))
-        work *= 2
     raise PrecisionExhausted("failed to isolate Moebius image")
 
 
@@ -336,8 +332,7 @@ def alg_equal(x: AlgebraicNumber, y: AlgebraicNumber) -> bool:
     g = poly_gcd(x.minpoly, y.minpoly)
     if g.degree == 0:
         return False
-    bits = 16
-    while bits <= REFINE_HARD_CAP:
+    for bits in precisions(16):
         ix = x.value_interval(bits)
         iy = y.value_interval(bits)
         if x.is_degenerate() or y.is_degenerate():
@@ -352,5 +347,4 @@ def alg_equal(x: AlgebraicNumber, y: AlgebraicNumber) -> bool:
         lo, hi = min(ix.lo, iy.lo), max(ix.hi, iy.hi)
         if count_roots_in(g, lo, hi) == 1:
             return True
-        bits *= 2
     raise PrecisionExhausted("equality test did not converge")

@@ -11,12 +11,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
+from . import errors
 from .algebraic import AlgebraicNumber, _above_vertex, _equals_rational
-from .errors import PrecisionExhausted
 from .intervals import FInterval
 from .matrices import Mat2
-
-PRECISION_CAP_BITS = 1 << 16
 
 
 @dataclass
@@ -193,8 +191,8 @@ def expand(x: AlgebraicNumber, depth: int) -> CFExpansion:
         known = n
         w = x.isolating.width
         bits = max(64, 2 * (w.denominator.bit_length() - w.numerator.bit_length()))
-        if bits > PRECISION_CAP_BITS:
-            raise PrecisionExhausted(
+        if bits > errors.PRECISION_CAP_BITS:
+            raise errors.PrecisionExhausted(
                 "expansion undecided at precision cap", x.isolating.as_finterval()
             )
         x.refine_to(bits)

@@ -367,7 +367,10 @@ def _require_witness(ctx: PairContext, wt: SharedBlockWitness) -> None:
 
 
 def _l1_fields(ctx: PairContext, wt: SharedBlockWitness, cfg):
-    rep = l1_smallness_report(ctx, wt, bits=cfg["bits"])
+    try:
+        rep = l1_smallness_report(ctx, wt, bits=cfg["bits"])
+    except ValueError as e:  # a start above the cap
+        raise InputError(f"--bits: {e}") from None
     return rep, {
         "premise_ok": rep.premise_ok,
         "enclosure": [str(rep.enclosure.lo), str(rep.enclosure.hi)],

@@ -11,15 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import errors
 from .algebraic import AlgebraicNumber
 from .cf import CFExpansion, expand, word_matrix
-from .errors import PrecisionExhausted
 from .intervals import FInterval
 from .matrices import Mat2
 from .words import SharedBlockWitness, validate_witness
 
 L1_START_BITS = 256
-L1_CAP_BITS = 65536
 
 
 @dataclass
@@ -169,10 +168,12 @@ class SmallnessReport:
 
 
 def l1_smallness_report(
-    ctx: PairContext, wt: SharedBlockWitness, bits: int = L1_START_BITS, cap: int = L1_CAP_BITS
+    ctx: PairContext, wt: SharedBlockWitness, bits: int = L1_START_BITS
 ) -> SmallnessReport:
     if wt.mirror:
         raise ValueError("smallness bound applies to plain shared blocks")
+    if (start := max(bits, 32)) > errors.PRECISION_CAP_BITS:
+        raise ValueError(f"{start} bits is above the precision cap of {errors.PRECISION_CAP_BITS}")
     premise_ok = validate_witness(wt, ctx.cf.quotients, ctx.cf2.quotients)
     k, l, m = wt.k, wt.l, wt.m
     ctx.require_witness(k, l, m)
@@ -180,22 +181,19 @@ def l1_smallness_report(
     _, s_lm = ctx.cf2.convergent(l + m)
     bound = Fraction(2, q_km * s_lm)
     phi = phi_vector(ctx, k, l)
-    work = max(bits, 32)
-    enc = None
-    while work <= cap:
+    for work in errors.precisions(start):
         enc = eval_linear_forms(ctx, phi, work)[0].abs()
         if enc.hi < bound:
             return SmallnessReport(True, premise_ok, enc, bound, work)
         if enc.lo > bound:
             return SmallnessReport(False, premise_ok, enc, bound, work)
-        work *= 2
-    return SmallnessReport(None, premise_ok, enc, bound, cap)
+    return SmallnessReport(None, premise_ok, enc, bound, errors.PRECISION_CAP_BITS)
 
 
 def check_L1_smallness(ctx: PairContext, wt: SharedBlockWitness, bits: int = L1_START_BITS) -> bool:
     rep = l1_smallness_report(ctx, wt, bits)
     if rep.holds is None:
-        raise PrecisionExhausted("L1 smallness undecided at precision cap", rep.enclosure)
+        raise errors.PrecisionExhausted("L1 smallness undecided at precision cap", rep.enclosure)
     return rep.holds
 
 

@@ -9,7 +9,6 @@ from fractions import Fraction
 from math import gcd, lcm, log2
 
 from .algebraic import (
-    REFINE_HARD_CAP,
     AlgebraicNumber,
     alg_equal,
     moebius_apply,
@@ -17,7 +16,7 @@ from .algebraic import (
 )
 from .cf import CFExpansion
 from .enclose import log_ratio_enclosure
-from .errors import PrecisionExhausted
+from .errors import PrecisionExhausted, precisions
 from .intervals import FInterval
 from .matrices import Mat2
 
@@ -29,14 +28,13 @@ def quadratic_norm(
 
     conj, when given, is alpha's conjugate (the other root of its minimal
     polynomial). The enclosures are the cells of alpha and conj at the first
-    of 64, 128, ... bits where they are apart; past REFINE_HARD_CAP that is
-    undecided. alpha is refined in place, conj in place only up to 64 bits and
-    past that as a copy, so conj's cell depends on the level alone.
+    of 64, 128, ... bits where they are apart; past the precision cap that
+    is undecided. alpha is refined in place, conj in place only up to 64 bits
+    and past that as a copy, so conj's cell depends on the level alone.
     """
     if conj is None:
         conj = quadratic_conjugate(alpha)  # ValueError unless alpha is quadratic
-    work = 64
-    while True:
+    for work in precisions(64):
         a = alpha.value_interval(work)
         if work > 64:
             conj = AlgebraicNumber(conj.minpoly, conj.isolating)
@@ -47,9 +45,8 @@ def quadratic_norm(
         d0, d1 = a0 - s1, a1 - s0  # (a - s) q
         if d0 > 0 or d1 < 0:
             break
-        work *= 2
-        if work > REFINE_HARD_CAP:
-            raise PrecisionExhausted("quadratic norm: conjugates not separated at the cap")
+    else:
+        raise PrecisionExhausted("quadratic norm: conjugates not separated at the cap")
     # (c a + d)(c s + d) q^2 is the hull [n0, n1] of the four corner products;
     # dividing by (a - s) q with its sign taken out gives the same exact hull
     # as FInterval arithmetic

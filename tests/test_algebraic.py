@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import cfspectra.algebraic
+import cfspectra.errors
 from cfspectra import (
     IntPolynomial,
     PrecisionExhausted,
@@ -167,9 +167,9 @@ class TestEqualityConjugate:
 
     def test_equal_undecided_at_cap(self, monkeypatch):
         # the two roots' intervals share the end 0 until 32 bits
-        monkeypatch.setattr(cfspectra.algebraic, "REFINE_HARD_CAP", 16)
+        monkeypatch.setattr(cfspectra.errors, "PRECISION_CAP_BITS", 16)
         neg, pos = isolate_real_roots(IntPolynomial.from_coeffs([-1, -(1 << 21), 1 << 40]))
-        with pytest.raises(PrecisionExhausted):
+        with pytest.raises(PrecisionExhausted, match="equality test did not converge"):
             alg_equal(neg, pos)
 
     def test_conjugate_requires_quadratic(self, cbrt2):

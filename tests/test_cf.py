@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cfspectra.cf
+import cfspectra.errors
 from cfspectra import (
     CFExpansion,
     IntPolynomial,
@@ -84,7 +85,7 @@ def expand_by_full_rounds(x: AlgebraicNumber, depth: int) -> CFExpansion:
         known = n
         w = x.isolating.width
         bits = max(64, 2 * (w.denominator.bit_length() - w.numerator.bit_length()))
-        if bits > cfspectra.cf.PRECISION_CAP_BITS:
+        if bits > cfspectra.errors.PRECISION_CAP_BITS:
             raise PrecisionExhausted("expansion undecided at precision cap")
         x.refine_to(bits)
     a0, qs, term = _rational_cf(rat, depth)
@@ -170,8 +171,8 @@ class TestExpansion:
         assert (cf.word(), cf.terminated) == ((1,), True)
 
     def test_precision_cap(self, cbrt2, monkeypatch):
-        monkeypatch.setattr(cfspectra.cf, "PRECISION_CAP_BITS", 256)
-        with pytest.raises(PrecisionExhausted):
+        monkeypatch.setattr(cfspectra.errors, "PRECISION_CAP_BITS", 256)
+        with pytest.raises(PrecisionExhausted, match="expansion undecided at precision cap"):
             expand(cbrt2, 500)
 
     @settings(max_examples=60, deadline=None)

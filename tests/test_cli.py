@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import cfspectra.algebraic
+import cfspectra.errors
 from cfspectra import cli
 from cfspectra.cli import main
 
@@ -398,10 +398,45 @@ class TestConfigAndErrors:
 
     def test_orbit_precision_cap_exits_2(self, capsys, monkeypatch):
         # a Moebius image not isolated at the cap used to end in a traceback
-        monkeypatch.setattr(cfspectra.algebraic, "REFINE_HARD_CAP", 32)
+        monkeypatch.setattr(cfspectra.errors, "PRECISION_CAP_BITS", 32)
         argv = ["orbit", "--kind", "scan", "--poly=-1,-2,1", "--poly2=-2,0,1", "--height", "3"]
         assert main(argv) == 2
-        assert "undecided at precision cap" in capsys.readouterr().err
+        assert "undecided at precision cap: failed to isolate Moebius image" in (
+            capsys.readouterr().err
+        )
+
+    def test_one_cap_reaches_every_loop(self, capsys, monkeypatch):
+        l1 = ["harness", "--kind", "l1", "--poly=-2,0,1", "--poly2=-1,0,2", "--depth", "40",
+              "--k", "1", "--l", "2", "--m", "20", "--output", os.devnull]
+        assert main(l1) == 0  # caches both expansions, certified at the full cap
+        monkeypatch.setattr(cfspectra.errors, "PRECISION_CAP_BITS", 32)
+        scan = ["orbit", "--kind", "scan", "--height", "3", "--output", os.devnull]
+        jobs = {
+            "expansion undecided": ["expand", "--poly=-2,0,1", "--depth", "40", "--no-cache"],
+            "quadratic norm": [*scan, "--poly=-2,0,0,1", "--poly2=-3,0,1", "--mode", "quadratic"],
+            "Moebius image": [*scan, "--poly=-1,-2,1", "--poly2=-2,0,1"],
+            "L1 smallness undecided": [*l1, "--bits", "32"],
+        }
+        for message, argv in jobs.items():
+            assert main(argv) == 2, message
+            assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("job", [False, True])
+    def test_l1_bits_above_the_cap(self, capsys, tmp_path, job):
+        # a start above the cap used to end in an AttributeError traceback
+        if job:
+            path = tmp_path / "job.json"
+            path.write_text(json.dumps({"alpha": [-2, 0, 1], "alpha_prime": [-1, 0, 2],
+                                        "depth": 40, "witnesses": [{"k": 1, "l": 2, "m": 20}]}))
+            argv = ["harness", "--job", str(path)]
+        else:
+            argv = ["harness", "--kind", "l1", "--poly=-2,0,1", "--poly2=-1,0,2", "--depth", "40",
+                    "--k", "1", "--l", "2", "--m", "20"]
+        argv += ["--output", os.devnull, "--bits"]
+        assert main([*argv, "65536"]) == 0
+        assert main([*argv, "65537"]) == 1
+        err = capsys.readouterr().err
+        assert "--bits" in err and "cap of 65536" in err
 
     def test_missing_subcommand_args(self, capsys):
         assert main(["expand"]) == 1

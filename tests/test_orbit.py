@@ -4,6 +4,7 @@ from math import floor, gcd, isqrt
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import cfspectra.errors
 import cfspectra.orbit
 from cfspectra import (
     CFExpansion,
@@ -108,8 +109,8 @@ class TestQuadraticNorm:
         enc = quadratic_norm(Mat2(1, 0, 0, 1), close[1], conj=close[0])
         assert enc.lo > 0
         close = isolate_real_roots(IntPolynomial.from_coeffs([-1, -(1 << 71), 1 << 140]))
-        monkeypatch.setattr(cfspectra.orbit, "REFINE_HARD_CAP", 64)
-        with pytest.raises(PrecisionExhausted):
+        monkeypatch.setattr(cfspectra.errors, "PRECISION_CAP_BITS", 64)
+        with pytest.raises(PrecisionExhausted, match="conjugates not separated"):
             quadratic_norm(Mat2(1, 0, 0, 1), close[1], conj=close[0])
 
 
